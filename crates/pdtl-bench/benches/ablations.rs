@@ -233,8 +233,9 @@ fn bench_scan_pruning(c: &mut Criterion) {
 fn bench_io_backend(c: &mut Criterion) {
     // Multi-pass regime again: with the budget far below |E*| the
     // engine re-scans the graph once per chunk, which is exactly where
-    // the I/O backend choice matters — prefetch hides device waits,
-    // mmap removes the read(2) copies entirely on a warm page cache.
+    // the I/O backend choice matters — uring hides device waits behind
+    // kernel queues, mmap removes the read(2) copies entirely on a warm
+    // page cache.
     let g = rmat(10, 13).unwrap();
     let dir = std::env::temp_dir().join(format!("pdtl-ablate-backend-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -26,14 +26,14 @@ fn main() {
     // `--backend <b>` pins the default I/O backend for every engine run
     // in this process via the same env override the CI matrix uses
     // (consumed by `MgtOptions::default`). The dedicated kernel-bench
-    // backend rows still measure all four explicitly.
+    // backend rows still measure all three explicitly.
     if let Some(i) = args.iter().position(|a| a == "--backend") {
         let Some(value) = args.get(i + 1) else {
-            eprintln!("--backend needs a value (blocking|prefetch|mmap|uring)");
+            eprintln!("--backend needs a value (blocking|mmap|uring)");
             std::process::exit(2);
         };
         if IoBackend::parse(value).is_none() {
-            eprintln!("bad --backend {value:?} (blocking|prefetch|mmap|uring)");
+            eprintln!("bad --backend {value:?} (blocking|mmap|uring)");
             std::process::exit(2);
         }
         std::env::set_var(pdtl_io::BACKEND_ENV, value);

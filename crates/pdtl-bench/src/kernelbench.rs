@@ -203,7 +203,7 @@ pub fn run_kernel_benches() -> Vec<BenchResult> {
 
     // disk-MGT backend ablation (RMAT-12, multi-pass budget): warm page
     // cache and emulated-latency device, one row per I/O backend
-    // (including uring, which degrades to prefetch where unavailable —
+    // (including uring, which degrades to blocking where unavailable —
     // the row then measures the fallback, like production would).
     let dir = std::env::temp_dir().join(format!("pdtl-kernelbench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
@@ -364,7 +364,7 @@ mod tests {
         let json = to_json(&results);
         assert!(json.starts_with('{') && json.ends_with("}\n"));
         assert!(json.contains("\"mgt_in_memory/budget_2048\""));
-        for backend in ["blocking", "prefetch", "mmap", "uring"] {
+        for backend in ["blocking", "mmap", "uring"] {
             assert!(json.contains(&format!("\"mgt_disk/backend_{backend}\"")));
             assert!(json.contains(&format!("\"mgt_disk_simlat50us/backend_{backend}\"")));
         }

@@ -20,8 +20,8 @@ use crate::error::{ClusterError, Result};
 /// engine option extends the record without breaking older decoders (or
 /// this one — see the forward-compat test). PR 3-era `Config` messages
 /// (fixed 29-byte records under the original tag) still decode: the I/O
-/// backend lives in bits 1–2 of the flags byte, positioned so the old
-/// `overlap_io` bit maps onto `Blocking`/`Prefetch` exactly.
+/// backend lives in bits 1–2 of the flags byte, and the old `overlap_io`
+/// bit (discriminant 1, now retired) decodes as `Blocking`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerConfig {
     /// Range start (oriented adjacency position).
@@ -57,17 +57,39 @@ pub struct WorkerConfig {
 /// Wire flag bits of [`WorkerConfig`].
 const FLAG_SCAN_PRUNING: u8 = 1;
 /// Bits 1–2 of the flags byte: the [`IoBackend`] discriminant
-/// (`0 = Blocking`, `1 = Prefetch`, `2 = Mmap`, `3 = Uring`). PR 3
-/// used bit 1 as a bare `overlap_io` flag, which this mapping
-/// subsumes: old `overlap_io = true` bytes decode as `Prefetch`,
-/// `false` as `Blocking`. PR 4 reserved discriminant 3, which its
-/// decoders degrade to the default backend — an old node handed a
-/// `Uring` config therefore runs, it just overlaps with threads
-/// instead of kernel queues. The 2-bit field is now full: a fifth
-/// backend must claim a fresh field in the length-prefixed record
-/// tail (which old decoders skip), not grow this one.
+/// (`0 = Blocking`, `2 = Mmap`, `3 = Uring`; `1` is retired). PR 3
+/// used bit 1 as a bare `overlap_io` flag, later the thread-based
+/// overlapping backend; both decode as `Blocking` now. Backends differ
+/// only in scheduling, never in counts, so an old peer's overlap
+/// request still gets exact answers. PR 4 reserved discriminant 3,
+/// which its decoders degrade to the default backend, so an old node
+/// handed a `Uring` config still runs. Growing the field would
+/// reinterpret old flag bytes: a new backend must claim discriminant 1
+/// or a fresh field in the length-prefixed record tail (which old
+/// decoders skip).
 const BACKEND_SHIFT: u8 = 1;
 const BACKEND_MASK: u8 = 0b110;
+
+/// `backend` packed into bits 1–2 of a flags byte.
+fn backend_bits(backend: IoBackend) -> u8 {
+    let discriminant = match backend {
+        IoBackend::Blocking => 0u8,
+        IoBackend::Mmap => 2,
+        IoBackend::Uring => 3,
+    };
+    discriminant << BACKEND_SHIFT
+}
+
+/// The backend in bits 1–2 of a flags byte. Platforms that cannot serve
+/// it degrade at `IoBackend::resolve` time in the engine, never here.
+fn backend_from_bits(flags: u8) -> IoBackend {
+    match (flags & BACKEND_MASK) >> BACKEND_SHIFT {
+        2 => IoBackend::Mmap,
+        3 => IoBackend::Uring,
+        // 0, and the retired overlap discriminant 1.
+        _ => IoBackend::Blocking,
+    }
+}
 
 impl WorkerConfig {
     /// Known record bytes: `start` + `end` + `budget_edges` (u64 each),
@@ -86,25 +108,7 @@ impl WorkerConfig {
 
     /// Pack the engine flags into the wire byte.
     fn flags(&self) -> u8 {
-        let backend = match self.backend {
-            IoBackend::Blocking => 0u8,
-            IoBackend::Prefetch => 1,
-            IoBackend::Mmap => 2,
-            IoBackend::Uring => 3,
-        };
-        u8::from(self.scan_pruning) * FLAG_SCAN_PRUNING + (backend << BACKEND_SHIFT)
-    }
-
-    /// Unpack the backend discriminant. Every value of the 2-bit field
-    /// is now assigned; platforms that cannot serve a decoded backend
-    /// degrade at `IoBackend::resolve` time in the engine, never here.
-    fn backend_from_flags(flags: u8) -> IoBackend {
-        match (flags & BACKEND_MASK) >> BACKEND_SHIFT {
-            0 => IoBackend::Blocking,
-            1 => IoBackend::Prefetch,
-            2 => IoBackend::Mmap,
-            _ => IoBackend::Uring,
-        }
+        u8::from(self.scan_pruning) * FLAG_SCAN_PRUNING + backend_bits(self.backend)
     }
 
     /// Encode one length-prefixed record. Tail fields are positional
@@ -143,7 +147,7 @@ impl WorkerConfig {
             end,
             budget_edges,
             scan_pruning: flags & FLAG_SCAN_PRUNING != 0,
-            backend: Self::backend_from_flags(flags),
+            backend: backend_from_bits(flags),
             io_latency_us: buf.get_u32_le(),
             read_fault: None,
             codec: Codec::Raw,
@@ -299,9 +303,9 @@ pub struct WorkerSummary {
     pub seeks: u64,
     /// Read + write operations.
     pub io_ops: u64,
-    /// Nanoseconds of I/O activity. Under the prefetch backend this
-    /// runs concurrently with compute (device time, not stall time),
-    /// so it may approach or exceed `wall_nanos`.
+    /// Nanoseconds of I/O activity. Under the uring backend this runs
+    /// concurrently with compute (device time, not stall time), so it
+    /// may approach or exceed `wall_nanos`.
     pub io_nanos: u64,
     /// Worker wall time in nanoseconds.
     pub wall_nanos: u64,
@@ -447,13 +451,7 @@ impl QueryOptions {
         b.put_u16_le(Self::WIRE_LEN as u16);
         b.put_u32_le(self.cores);
         b.put_u64_le(self.budget_edges);
-        let backend = match self.backend {
-            IoBackend::Blocking => 0u8,
-            IoBackend::Prefetch => 1,
-            IoBackend::Mmap => 2,
-            IoBackend::Uring => 3,
-        };
-        b.put_u8(u8::from(self.scan_pruning) * FLAG_SCAN_PRUNING + (backend << BACKEND_SHIFT));
+        b.put_u8(u8::from(self.scan_pruning) * FLAG_SCAN_PRUNING + backend_bits(self.backend));
         b.put_u8(self.codec.discriminant());
         b.put_u32_le(self.io_latency_us);
     }
@@ -478,7 +476,7 @@ impl QueryOptions {
             cores,
             budget_edges,
             scan_pruning: flags & FLAG_SCAN_PRUNING != 0,
-            backend: WorkerConfig::backend_from_flags(flags),
+            backend: backend_from_bits(flags),
             codec,
             io_latency_us,
         })
@@ -814,7 +812,7 @@ impl Message {
             TAG_CONFIG_LEGACY => {
                 // PR 3-era encoding: fixed-size records, no prefix. The
                 // flags-byte layout is shared, so the old overlap_io
-                // bit maps onto Blocking/Prefetch directly.
+                // bit decodes as the retired discriminant 1: Blocking.
                 let graph_base = get_string(&mut buf)?;
                 need(&buf, 5)?;
                 let listing = buf.get_u8() != 0;
@@ -1058,7 +1056,7 @@ mod tests {
                     end: 220,
                     budget_edges: 50,
                     scan_pruning: false,
-                    backend: IoBackend::Prefetch,
+                    backend: IoBackend::Blocking,
                     io_latency_us: 50,
                     read_fault: None,
                     codec: Codec::Raw,
@@ -1093,8 +1091,8 @@ mod tests {
     #[test]
     fn pr3_era_config_still_decodes() {
         // A Config message exactly as PR 3 encoded it: old tag byte,
-        // fixed 29-byte worker records, flags bit 1 = overlap_io. The
-        // overlap bit must map onto Blocking/Prefetch.
+        // fixed 29-byte worker records, flags bit 1 = overlap_io. Both
+        // values of the overlap bit must decode as Blocking.
         let mut b = BytesMut::new();
         b.put_u8(1); // TAG_CONFIG_LEGACY
         b.put_u32_le(3); // node
@@ -1131,7 +1129,7 @@ mod tests {
                     end: 20,
                     budget_edges: 64,
                     scan_pruning: true,
-                    backend: IoBackend::Prefetch, // overlap_io = true
+                    backend: IoBackend::Blocking, // overlap_io = true
                     io_latency_us: 50,
                     read_fault: None,
                     codec: Codec::Raw,
@@ -1167,7 +1165,7 @@ mod tests {
         };
         assert_eq!(got.len(), 2);
         assert_eq!((got[0].start, got[0].end), (0, 100));
-        assert_eq!(got[0].backend, IoBackend::Prefetch);
+        assert_eq!(got[0].backend, IoBackend::Blocking);
         assert!(got[0].scan_pruning);
         assert_eq!((got[1].start, got[1].end), (100, 250));
         assert_eq!(got[1].backend, IoBackend::Mmap);
@@ -1180,16 +1178,24 @@ mod tests {
         // backend; it now names Uring, so decoding wire bytes written
         // by a newer (uring-aware) encoder yields Uring here — while
         // the old decoder's degradation path keeps those same bytes
-        // runnable on PR 4-era nodes. The field is full: growing it
-        // would reinterpret old flag bytes, so a fifth backend must use
-        // the record tail.
-        assert_eq!(WorkerConfig::backend_from_flags(0b000), IoBackend::Blocking);
-        assert_eq!(WorkerConfig::backend_from_flags(0b010), IoBackend::Prefetch);
-        assert_eq!(WorkerConfig::backend_from_flags(0b100), IoBackend::Mmap);
-        assert_eq!(WorkerConfig::backend_from_flags(0b110), IoBackend::Uring);
+        // runnable on PR 4-era nodes. Discriminant 1 (the old overlap
+        // bit, then the thread-based overlapping backend) is retired
+        // and decodes as Blocking. Growing the field would reinterpret
+        // old flag bytes.
+        assert_eq!(backend_from_bits(0b000), IoBackend::Blocking);
+        assert_eq!(backend_from_bits(0b010), IoBackend::Blocking);
+        assert_eq!(backend_from_bits(0b100), IoBackend::Mmap);
+        assert_eq!(backend_from_bits(0b110), IoBackend::Uring);
         // scan_pruning (bit 0) never bleeds into the backend field.
-        assert_eq!(WorkerConfig::backend_from_flags(0b111), IoBackend::Uring);
-        assert_eq!(WorkerConfig::backend_from_flags(0b001), IoBackend::Blocking);
+        assert_eq!(backend_from_bits(0b111), IoBackend::Uring);
+        assert_eq!(backend_from_bits(0b011), IoBackend::Blocking);
+        assert_eq!(backend_from_bits(0b001), IoBackend::Blocking);
+        // Every live backend round-trips, and none encodes as the
+        // retired discriminant.
+        for backend in IoBackend::ALL {
+            assert_eq!(backend_from_bits(backend_bits(backend)), backend);
+            assert_ne!(backend_bits(backend), 0b010, "{backend}");
+        }
     }
 
     #[test]
@@ -1225,7 +1231,7 @@ mod tests {
                 end: 1,
                 budget_edges: 1,
                 scan_pruning: true,
-                backend: IoBackend::Prefetch,
+                backend: IoBackend::Blocking,
                 io_latency_us: 0,
                 read_fault: None,
                 codec: Codec::Raw,
@@ -1295,7 +1301,7 @@ mod tests {
                     end: 64,
                     budget_edges: 32,
                     scan_pruning: true,
-                    backend: IoBackend::Prefetch,
+                    backend: IoBackend::Blocking,
                     io_latency_us: 0,
                     read_fault: Some(1000),
                     codec: Codec::Raw,
@@ -1353,7 +1359,7 @@ mod tests {
         b.put_u64_le(5);
         b.put_u64_le(55);
         b.put_u64_le(128);
-        b.put_u8(0b011); // pruning + prefetch
+        b.put_u8(0b011); // pruning + the retired overlap discriminant
         b.put_u32_le(0);
         let decoded = Message::decode(b.freeze()).unwrap();
         let Message::Config {
@@ -1367,6 +1373,7 @@ mod tests {
         assert_eq!(directives, NodeDirectives::default());
         assert_eq!(workers[0].read_fault, None);
         assert_eq!((workers[0].start, workers[0].end), (5, 55));
+        assert_eq!(workers[0].backend, IoBackend::Blocking);
     }
 
     #[test]
@@ -1437,7 +1444,7 @@ mod tests {
                 end: 500,
                 budget_edges: 256,
                 scan_pruning: true,
-                backend: IoBackend::Prefetch,
+                backend: IoBackend::Blocking,
                 io_latency_us: 3,
                 read_fault,
                 codec,

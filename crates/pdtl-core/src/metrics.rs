@@ -121,6 +121,7 @@ impl RunReport {
             acc.write_ops += w.io.write_ops;
             acc.seeks += w.io.seeks;
             acc.io_time += w.io.io_time;
+            acc.u32s_decoded += w.io.u32s_decoded;
         }
         acc
     }
@@ -149,8 +150,12 @@ mod tests {
             cpu_ops,
             io: IoSnapshot {
                 bytes_read: 1000,
+                bytes_written: 50,
                 read_ops: 2,
-                ..Default::default()
+                write_ops: 1,
+                seeks: 3,
+                io_time: Duration::from_micros(5),
+                u32s_decoded: 300,
             },
             breakdown: TimeBreakdown {
                 wall: Duration::from_millis(wall_ms),
@@ -210,6 +215,20 @@ mod tests {
         assert_eq!(r.total_cpu_ops(), 25_000_000);
         assert_eq!(r.total_worker_io().bytes_read, 2000);
         assert_eq!(r.total_iterations(), 2);
+    }
+
+    #[test]
+    fn total_worker_io_sums_every_field() {
+        // Compressed graphs report their decoded volume per worker; the
+        // run total must carry it, not just the byte counters.
+        let io = report().total_worker_io();
+        assert_eq!(io.bytes_read, 2000);
+        assert_eq!(io.read_ops, 4);
+        assert_eq!(io.bytes_written, 100);
+        assert_eq!(io.write_ops, 2);
+        assert_eq!(io.seeks, 6);
+        assert_eq!(io.io_time, Duration::from_micros(10));
+        assert_eq!(io.u32s_decoded, 600);
     }
 
     #[test]

@@ -277,7 +277,7 @@ impl Drop for ScratchDir {
 ///         cores: 2,
 ///         budget: MemoryBudget::edges(64), // far below |E*|: multi-pass
 ///         mgt: MgtOptions {
-///             backend: IoBackend::Uring, // degrades to prefetch if absent
+///             backend: IoBackend::Uring, // degrades to blocking if absent
 ///             ..MgtOptions::default()
 ///         },
 ///         ..LocalConfig::default()

@@ -1,17 +1,12 @@
 //! The I/O backend selector shared by every stream consumer.
 //!
 //! PDTL's engines read graph files through the [`U32Source`] seam, which
-//! has four interchangeable implementations with identical accounting
-//! (`bytes_read` / `seeks` counted per block *touched*):
+//! has three interchangeable implementations with identical accounting
+//! (`bytes_read` / `seeks` / `read_ops` counted per block *touched*):
 //!
 //! * [`Blocking`](IoBackend::Blocking) — [`U32Reader`], one synchronous
-//!   `read(2)` per block. The reference implementation the other three
-//!   are asserted against.
-//! * [`Prefetch`](IoBackend::Prefetch) — [`PrefetchReader`] +
-//!   `ChunkPrefetcher`, background threads keep blocks read ahead so
-//!   device waits hide behind compute. Wins when reads actually block
-//!   (cold cache, emulated latency), costs a copy + synchronisation when
-//!   they don't.
+//!   `read(2)` per block. The default, and the reference implementation
+//!   the other two are asserted against.
 //! * [`Mmap`](IoBackend::Mmap) — [`MmapSource`], the file mapped into
 //!   the address space and served zero-copy. Wins on page-cache-resident
 //!   graphs where every `read(2)` copy is pure overhead; falls back to
@@ -19,12 +14,10 @@
 //! * [`Uring`](IoBackend::Uring) — [`UringSource`], block reads driven
 //!   through `io_uring` submission/completion queues with depth > 1 and
 //!   *no* extra threads: the kernel overlaps device waits with compute.
-//!   Falls back to `Prefetch` (the thread-based overlapper) on kernels
-//!   without `io_uring`.
+//!   Falls back to `Blocking` on kernels without `io_uring`.
 //!
 //! [`U32Source`]: crate::U32Source
 //! [`U32Reader`]: crate::U32Reader
-//! [`PrefetchReader`]: crate::PrefetchReader
 //! [`MmapSource`]: crate::MmapSource
 //! [`UringSource`]: crate::UringSource
 
@@ -47,29 +40,26 @@
 /// assert_eq!(IoBackend::parse("io_uring"), Some(IoBackend::Uring));
 ///
 /// // `resolve` never yields a backend this platform cannot run:
-/// // io_uring degrades to the thread-based prefetcher where missing.
+/// // io_uring degrades to synchronous reads where missing.
 /// let r = IoBackend::Uring.resolve();
-/// assert!(r == IoBackend::Uring || r == IoBackend::Prefetch);
+/// assert!(r == IoBackend::Uring || r == IoBackend::Blocking);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IoBackend {
     /// Synchronous buffered reads ([`U32Reader`](crate::U32Reader)).
-    Blocking,
-    /// Background read-ahead ([`PrefetchReader`](crate::PrefetchReader)
-    /// for scans, `ChunkPrefetcher` for chunk loads).
     #[default]
-    Prefetch,
+    Blocking,
     /// Zero-copy memory mapping ([`MmapSource`](crate::MmapSource));
     /// resolves to `Blocking` where mapping is unsupported.
     Mmap,
     /// Asynchronous `io_uring` reads ([`UringSource`](crate::UringSource))
-    /// with queue depth > 1 and no prefetch threads; resolves to
-    /// `Prefetch` where `io_uring` is unavailable.
+    /// with queue depth > 1 and no helper threads; resolves to
+    /// `Blocking` where `io_uring` is unavailable.
     Uring,
 }
 
 /// Environment variable overriding the default backend
-/// (`blocking` | `prefetch` | `mmap` | `uring`, case-insensitive).
+/// (`blocking` | `mmap` | `uring`, case-insensitive).
 /// Consumed by `MgtOptions::default`, which is how the CI test matrix
 /// runs the whole suite under each backend without touching any call
 /// site.
@@ -77,19 +67,14 @@ pub const BACKEND_ENV: &str = "PDTL_IO_BACKEND";
 
 impl IoBackend {
     /// Every backend, in wire-discriminant order (the order of the
-    /// flags-byte encoding in the cluster's `WorkerConfig`).
-    pub const ALL: [IoBackend; 4] = [
-        IoBackend::Blocking,
-        IoBackend::Prefetch,
-        IoBackend::Mmap,
-        IoBackend::Uring,
-    ];
+    /// flags-byte encoding in the cluster's `WorkerConfig`, which skips
+    /// the retired discriminant 1).
+    pub const ALL: [IoBackend; 3] = [IoBackend::Blocking, IoBackend::Mmap, IoBackend::Uring];
 
     /// Stable lowercase name (bench row / CLI / env spelling).
     pub fn name(self) -> &'static str {
         match self {
             IoBackend::Blocking => "blocking",
-            IoBackend::Prefetch => "prefetch",
             IoBackend::Mmap => "mmap",
             IoBackend::Uring => "uring",
         }
@@ -101,7 +86,6 @@ impl IoBackend {
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "blocking" => Some(IoBackend::Blocking),
-            "prefetch" => Some(IoBackend::Prefetch),
             "mmap" => Some(IoBackend::Mmap),
             "uring" | "io_uring" => Some(IoBackend::Uring),
             _ => None,
@@ -116,23 +100,22 @@ impl IoBackend {
     }
 
     /// The default backend, honouring the environment override:
-    /// [`Prefetch`](IoBackend::Prefetch) unless [`BACKEND_ENV`] names
+    /// [`Blocking`](IoBackend::Blocking) unless [`BACKEND_ENV`] names
     /// another one.
     pub fn default_from_env() -> Self {
-        Self::from_env().unwrap_or(IoBackend::Prefetch)
+        Self::from_env().unwrap_or(IoBackend::Blocking)
     }
 
     /// Resolve to a backend the current platform can actually run:
     /// [`Mmap`](IoBackend::Mmap) degrades to
     /// [`Blocking`](IoBackend::Blocking) where the mapping syscalls are
-    /// unavailable, [`Uring`](IoBackend::Uring) degrades to
-    /// [`Prefetch`](IoBackend::Prefetch) — the thread-based overlapper,
-    /// its closest behavioural twin — where the kernel lacks (or has
-    /// disabled) `io_uring`; the first two are always supported.
+    /// unavailable, and [`Uring`](IoBackend::Uring) degrades to
+    /// `Blocking` where the kernel lacks (or has disabled) `io_uring`.
+    /// `Blocking` itself is always supported.
     pub fn resolve(self) -> Self {
         match self {
             IoBackend::Mmap if !crate::mmap::mmap_supported() => IoBackend::Blocking,
-            IoBackend::Uring if !crate::uring::uring_supported() => IoBackend::Prefetch,
+            IoBackend::Uring if !crate::uring::uring_supported() => IoBackend::Blocking,
             other => other,
         }
     }
@@ -149,8 +132,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip_for_all_four_backends() {
-        assert_eq!(IoBackend::ALL.len(), 4);
+    fn names_round_trip_for_all_three_backends() {
+        assert_eq!(IoBackend::ALL.len(), 3);
         for b in IoBackend::ALL {
             assert_eq!(IoBackend::parse(b.name()), Some(b));
             assert_eq!(IoBackend::parse(&b.name().to_uppercase()), Some(b));
@@ -168,8 +151,8 @@ mod tests {
     }
 
     #[test]
-    fn default_is_prefetch() {
-        assert_eq!(IoBackend::default(), IoBackend::Prefetch);
+    fn default_is_blocking() {
+        assert_eq!(IoBackend::default(), IoBackend::Blocking);
     }
 
     #[test]
@@ -180,11 +163,10 @@ mod tests {
             assert_eq!(r, IoBackend::Mmap);
         }
         let r = IoBackend::Uring.resolve();
-        assert!(r == IoBackend::Uring || r == IoBackend::Prefetch);
+        assert!(r == IoBackend::Uring || r == IoBackend::Blocking);
         if crate::uring::uring_supported() {
             assert_eq!(r, IoBackend::Uring);
         }
         assert_eq!(IoBackend::Blocking.resolve(), IoBackend::Blocking);
-        assert_eq!(IoBackend::Prefetch.resolve(), IoBackend::Prefetch);
     }
 }

@@ -13,16 +13,14 @@
 //!   I/O breakdowns of the paper's Figures 6–8 and Table IV.
 //! * [`U32Reader`] / [`U32Writer`] — buffered little-endian `u32` streams
 //!   over files, the unit of every PDTL graph file (`.deg` / `.adj`).
-//! * [`PrefetchReader`] / [`ChunkPrefetcher`] — overlapped (read-ahead)
-//!   variants that hide disk latency behind compute while counting the
-//!   exact same bytes and seeks, so backend ablations compare pure
-//!   scheduling, not different I/O plans.
 //! * [`MmapSource`] — a zero-copy memory-mapped [`U32Source`] for
-//!   page-cache-resident graphs, again with byte-identical accounting.
+//!   page-cache-resident graphs, counting the exact same bytes and
+//!   seeks as [`U32Reader`], so backend ablations compare pure
+//!   scheduling, not different I/O plans.
 //! * [`UringSource`] — an `io_uring`-backed [`U32Source`] keeping
-//!   several block reads in flight per stream with no prefetch
-//!   threads, once more with byte-identical accounting; [`IoBackend`]
-//!   selects between the four behind one seam.
+//!   several block reads in flight per stream with no helper threads,
+//!   again with byte-identical accounting; [`IoBackend`] selects
+//!   between the three transports behind one seam.
 //! * [`Codec`] / [`VarintSource`] — the layer *above* the transports:
 //!   how byte runs decode into `u32` runs. `Raw` is the identity;
 //!   `DeltaVarint` stores each out-list as delta + varint bytes and
@@ -49,7 +47,6 @@ pub mod error;
 pub mod extsort;
 pub mod fault;
 pub mod mmap;
-pub mod prefetch;
 pub mod stats;
 pub mod stream;
 pub mod timer;
@@ -65,7 +62,6 @@ pub use error::{IoError, Result};
 pub use extsort::{external_sort_u64, merge_sorted_files};
 pub use fault::FaultySource;
 pub use mmap::{mmap_supported, MmapSource};
-pub use prefetch::{ChunkPrefetcher, PrefetchReader};
 pub use stats::IoStats;
 pub use stream::{U32Reader, U32Source, U32Writer, BYTES_PER_U32};
 pub use timer::{CpuIoTimer, TimeBreakdown};

@@ -18,7 +18,7 @@
 //! tests assert this across budgets × seek patterns). Emulated device
 //! latency ([`set_read_latency`](MmapSource::set_read_latency)) sleeps
 //! once per virtual refill, exactly like `U32Reader`, so the
-//! `io_latency` ablations remain comparable across all four backends.
+//! `io_latency` ablations remain comparable across all three backends.
 //!
 //! The mapping syscalls (`mmap` / `munmap` / `madvise`) are bound
 //! through a tiny `extern "C"` module (the same offline-shim pattern as

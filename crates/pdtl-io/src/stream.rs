@@ -116,25 +116,6 @@ impl U32Reader {
         self.buf.len() / BYTES_PER_U32 as usize
     }
 
-    /// Decompose into the raw parts a background prefetcher needs:
-    /// `(file, path, stats, buf_u32s, len_u32, read_latency)`. Any
-    /// buffered-but-unread data is discarded; the consumer restarts
-    /// from an explicit offset.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (File, PathBuf, Arc<IoStats>, usize, u64, std::time::Duration) {
-        let buf_u32s = self.buf_u32s();
-        (
-            self.file,
-            self.path,
-            self.stats,
-            buf_u32s,
-            self.len_u32,
-            self.read_latency,
-        )
-    }
-
     /// Index of the next value [`next`](Self::next) would return.
     pub fn position(&self) -> u64 {
         self.next_index
@@ -224,8 +205,8 @@ impl U32Reader {
 
     /// Seek to `pos` and read exactly `len` values into `out` (cleared
     /// first); errors if the range reaches past end of file. The one
-    /// chunk-load primitive shared by the blocking and prefetching MGT
-    /// chunk sources, so their failure behaviour cannot drift.
+    /// chunk-load primitive every MGT chunk source builds on (the uring
+    /// source mirrors it), so their failure behaviour cannot drift.
     pub fn read_exact_range(&mut self, pos: u64, len: usize, out: &mut Vec<u32>) -> Result<()> {
         out.clear();
         self.seek_to(pos)?;
@@ -276,12 +257,13 @@ impl U32Reader {
     }
 }
 
-/// The positioned-read interface shared by [`U32Reader`] and the
-/// overlapped [`PrefetchReader`](crate::prefetch::PrefetchReader), so
-/// stream consumers (the MGT scan pass) can swap blocking for
-/// prefetching I/O without changing their logic. Both implementations
-/// follow the same positioning contract: positions clamp at
-/// end-of-file, short skips read through, long skips count as seeks.
+/// The positioned-read interface shared by [`U32Reader`],
+/// [`MmapSource`](crate::MmapSource) and
+/// [`UringSource`](crate::UringSource), so stream consumers (the MGT
+/// scan pass) can swap transports without changing their logic. Every
+/// implementation follows the same positioning contract: positions
+/// clamp at end-of-file, short skips read through, long skips count as
+/// seeks.
 pub trait U32Source {
     /// Total number of `u32`s in the file.
     fn len_u32(&self) -> u64;
@@ -336,6 +318,11 @@ impl U32Source for U32Reader {
 
     fn skip(&mut self, n: u64) -> Result<()> {
         U32Reader::skip(self, n)
+    }
+
+    // Overridden so a short chunk load names the file in its error.
+    fn read_exact_range(&mut self, pos: u64, len: usize, out: &mut Vec<u32>) -> Result<()> {
+        U32Reader::read_exact_range(self, pos, len, out)
     }
 }
 
@@ -475,6 +462,22 @@ mod tests {
         assert_eq!(r.read_all().unwrap(), vec![1, 2, 3, u32::MAX]);
         assert_eq!(stats.bytes_written(), 16);
         assert_eq!(stats.bytes_read(), 16);
+    }
+
+    #[test]
+    fn chunk_load_past_eof_names_the_file_through_the_trait() {
+        // The MGT engine's blocking chunk path loads through the
+        // `U32Source` trait, so its error must still name the file.
+        let p = tmp("exact-range");
+        let mut w = U32Writer::create(&p, IoStats::new()).unwrap();
+        w.write_all(&[1, 2, 3]).unwrap();
+        w.finish().unwrap();
+        let mut r = U32Reader::open(&p, IoStats::new()).unwrap();
+        let mut out = Vec::new();
+        U32Source::read_exact_range(&mut r, 1, 2, &mut out).unwrap();
+        assert_eq!(out, vec![2, 3]);
+        let err = U32Source::read_exact_range(&mut r, 1, 3, &mut out).unwrap_err();
+        assert!(err.to_string().contains("exact-range"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Asynchronous block streaming over `io_uring`: real device queue
-//! depth without prefetch threads.
+//! depth without helper threads.
 //!
-//! The [`PrefetchReader`](crate::PrefetchReader) hides device latency
-//! by spending a thread per stream on blocking `read(2)` calls.
-//! [`UringSource`] gets the same overlap from the kernel instead: block
-//! reads are submitted to an `io_uring` submission queue and complete
+//! [`U32Reader`] waits out every block's device latency in a
+//! synchronous `read(2)`. [`UringSource`] overlaps those waits with
+//! compute through the kernel instead: block reads are submitted to an `io_uring` submission queue and complete
 //! asynchronously, so up to [`URING_DEPTH`] block-sized reads are in
 //! flight per stream with *zero* extra threads, no producer/consumer
 //! hand-off, and no cross-thread copy. The MGT engines select it via
@@ -35,7 +34,7 @@
 //! shared SQ/CQ rings, gated to 64-bit little-endian Linux. Elsewhere —
 //! or on kernels where the probe fails (pre-5.6, seccomp,
 //! `io_uring_disabled`) — [`UringSource::open`] reports `Unsupported`
-//! and `IoBackend::Uring.resolve()` degrades to the prefetch backend,
+//! and `IoBackend::Uring.resolve()` degrades to the blocking backend,
 //! so no caller needs platform knowledge. [`URING_DISABLE_ENV`] forces
 //! the degradation path for tests and operators.
 
@@ -50,13 +49,12 @@ use crate::stream::U32Reader;
 use crate::stream::{U32Source, BYTES_PER_U32, DEFAULT_BUF_U32S};
 
 /// Block-sized reads kept in flight (or ready) ahead of the consumer —
-/// the queue depth of the backend, and the async analogue of
-/// [`PREFETCH_DEPTH`](crate::prefetch::PREFETCH_DEPTH).
+/// the queue depth of the backend.
 pub const URING_DEPTH: usize = 4;
 
 /// Environment kill-switch: when set (non-empty),
 /// [`uring_supported`] reports `false`, [`UringSource::open`] fails
-/// with `Unsupported` and `IoBackend::Uring` resolves to the prefetch
+/// with `Unsupported` and `IoBackend::Uring` resolves to the blocking
 /// backend — the same path a kernel without `io_uring` takes. Lets the
 /// degradation tests (and operators on locked-down hosts) exercise the
 /// fallback deterministically.
@@ -76,7 +74,7 @@ pub const fn uring_compiled() -> bool {
 /// Whether the running kernel accepts `io_uring_setup(2)` (probed once
 /// and cached) and [`URING_DISABLE_ENV`] is not set. `false` means
 /// [`UringSource::open`] will report `Unsupported` and
-/// `IoBackend::Uring.resolve()` degrades to prefetch.
+/// `IoBackend::Uring.resolve()` degrades to blocking.
 pub fn uring_supported() -> bool {
     if !uring_compiled() {
         return false;
@@ -526,7 +524,7 @@ struct Slot {
 /// to [`U32Reader::read_exact_range`]) and a
 /// [`pre_read`](Self::pre_read) hint that queues a *future* range's
 /// blocks — how chunk `k+1` loads in the kernel while chunk `k`'s scan
-/// pass computes, with no prefetch thread.
+/// pass computes, with no helper thread.
 #[derive(Debug)]
 #[cfg_attr(
     not(all(
@@ -987,7 +985,7 @@ impl U32Source for UringSource {
 // ---------------------------------------------------------------------
 // Fallback stub: platforms the backend is not compiled for. `open`
 // reports `Unsupported`; `IoBackend::Uring.resolve()` degrades to
-// `Prefetch` before any engine gets here, so the remaining methods are
+// `Blocking` before any engine gets here, so the remaining methods are
 // unreachable by construction.
 // ---------------------------------------------------------------------
 #[cfg(not(all(

@@ -1,9 +1,9 @@
 //! Cross-backend accounting contract of the [`U32Source`] seam.
 //!
-//! The four backends — blocking [`U32Reader`], read-ahead
-//! [`PrefetchReader`], zero-copy [`MmapSource`], asynchronous
-//! [`UringSource`] — must yield byte-identical `u32` streams, identical
-//! final positions, and identical `bytes_read`/`seeks` for *any* access
+//! The three backends — blocking [`U32Reader`], zero-copy
+//! [`MmapSource`], asynchronous [`UringSource`] — must yield
+//! byte-identical `u32` streams, identical final positions, and
+//! identical `bytes_read`/`seeks`/`read_ops` for *any* access
 //! pattern (reads, short and long skips, seeks — all clamped at end of
 //! file), at any block size, on any file length including empty. The
 //! property test drives randomized patterns; the explicit tests pin the
@@ -22,14 +22,14 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pdtl_io::{
-    mmap_supported, uring_supported, IoStats, MmapSource, PrefetchReader, U32Reader, U32Source,
-    U32Writer, UringSource, VarintAdjWriter, VarintIndex, VarintSource,
+    mmap_supported, uring_supported, IoStats, MmapSource, U32Reader, U32Source, U32Writer,
+    UringSource, VarintAdjWriter, VarintIndex, VarintSource,
 };
 
 /// The non-reference backends available on this platform (`blocking`
 /// is always the reference trace).
 fn other_backends() -> Vec<&'static str> {
-    let mut v = vec!["prefetch"];
+    let mut v = Vec::new();
     if mmap_supported() {
         v.push("mmap");
     }
@@ -83,12 +83,6 @@ fn trace_backend(which: &str, path: &PathBuf, block: usize, ops: &[(u8, u64)]) -
             let mut r = U32Reader::with_buffer(path, stats.clone(), block).unwrap();
             drive(&mut r, ops)
         }
-        "prefetch" => {
-            let mut r =
-                PrefetchReader::new(U32Reader::with_buffer(path, stats.clone(), block).unwrap())
-                    .unwrap();
-            drive(&mut r, ops)
-        }
         "mmap" => {
             let mut m = MmapSource::with_block(path, stats.clone(), block).unwrap();
             drive(&mut m, ops)
@@ -128,13 +122,9 @@ proptest! {
             prop_assert_eq!(pos, b_pos);
             prop_assert_eq!(bytes, b_bytes);
             prop_assert_eq!(seeks, b_seeks);
-            if which != "prefetch" {
-                // The mmap and uring sources mirror the blocking reader
-                // refill for refill; the prefetcher's op granularity
-                // legitimately differs at EOF (it never issues the
-                // empty read).
-                prop_assert_eq!(read_ops, b_ops);
-            }
+            // Every source mirrors the blocking reader refill for
+            // refill, down to the empty read at end of file.
+            prop_assert_eq!(read_ops, b_ops);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -169,6 +159,7 @@ fn eof_clamp_edges_agree_across_backends() {
         assert_eq!(got.1, reference.1, "{which}: position");
         assert_eq!(got.2, reference.2, "{which}: bytes_read");
         assert_eq!(got.3, reference.3, "{which}: seeks");
+        assert_eq!(got.4, reference.4, "{which}: read_ops");
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -186,6 +177,7 @@ fn empty_file_edges_agree_across_backends() {
         assert_eq!(got.1, reference.1, "{which}: position");
         assert_eq!(got.2, reference.2, "{which}: bytes_read");
         assert_eq!(got.3, reference.3, "{which}: seeks");
+        assert_eq!(got.4, reference.4, "{which}: read_ops");
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -227,13 +219,6 @@ fn trace_varint(
     let (out, pos) = match which {
         "blocking" => {
             let inner = U32Reader::with_buffer(path, stats.clone(), block).unwrap();
-            let mut s = VarintSource::new(inner, index.clone(), stats.clone()).unwrap();
-            drive(&mut s, ops)
-        }
-        "prefetch" => {
-            let inner =
-                PrefetchReader::new(U32Reader::with_buffer(path, stats.clone(), block).unwrap())
-                    .unwrap();
             let mut s = VarintSource::new(inner, index.clone(), stats.clone()).unwrap();
             drive(&mut s, ops)
         }

@@ -3,7 +3,7 @@
 //! On a kernel without `io_uring` (pre-5.6, seccomp-filtered, or
 //! `io_uring_disabled=2`) the backend must not take the process down:
 //! [`UringSource::open`] reports a clean `Unsupported` error and
-//! `IoBackend::Uring.resolve()` degrades to the prefetch backend. The
+//! `IoBackend::Uring.resolve()` degrades to the blocking backend. The
 //! `PDTL_URING_DISABLE` kill-switch forces that exact path, which this
 //! binary (its own process, so the env var cannot leak into parallel
 //! uring tests) exercises end to end.
@@ -35,12 +35,13 @@ fn disabled_uring_reports_unsupported() {
 }
 
 #[test]
-fn disabled_uring_resolves_to_prefetch() {
+fn disabled_uring_resolves_to_blocking() {
     disable_uring();
-    assert_eq!(IoBackend::Uring.resolve(), IoBackend::Prefetch);
+    assert_eq!(IoBackend::Uring.resolve(), IoBackend::Blocking);
     // The other backends are unaffected by the kill-switch.
-    assert_eq!(IoBackend::Prefetch.resolve(), IoBackend::Prefetch);
     assert_eq!(IoBackend::Blocking.resolve(), IoBackend::Blocking);
+    let mmap = IoBackend::Mmap.resolve();
+    assert_eq!(mmap == IoBackend::Mmap, pdtl_io::mmap_supported());
 }
 
 #[test]

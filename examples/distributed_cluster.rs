@@ -30,10 +30,10 @@ fn main() {
         transport: Default::default(),
         // Real cluster nodes stream cold replicas from disk, where
         // overlapped I/O hides device waits. io_uring gets that overlap
-        // from kernel submission queues (no prefetch threads) and
-        // degrades to the thread-based prefetcher on kernels without
-        // it; the choice ships to every worker in its wire
-        // WorkerConfig (flags-byte discriminant 3).
+        // from kernel submission queues (no helper threads) and
+        // degrades to blocking reads on kernels without it; the choice
+        // ships to every worker in its wire WorkerConfig (flags-byte
+        // discriminant 3).
         mgt: MgtOptions {
             backend: IoBackend::Uring,
             ..MgtOptions::default()

@@ -8,7 +8,7 @@
 //! * `export <base> <edges.txt>` — write a graph back to text;
 //! * `stats <base>` — print the Table-I row of a graph;
 //! * `count <base> [--cores p] [--memory edges] [--naive]
-//!   [--backend blocking|prefetch|mmap|uring]
+//!   [--backend blocking|mmap|uring]
 //!   [--codec raw|delta-varint]` — multicore exact count; `--codec`
 //!   selects the oriented graph's on-disk encoding (delta-varint cuts
 //!   the multi-pass `bytes_read`);
@@ -209,9 +209,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         |flags: &std::collections::HashMap<String, String>| -> Result<Option<IoBackend>, String> {
             match flags.get("backend") {
                 None => Ok(None),
-                Some(v) => IoBackend::parse(v).map(Some).ok_or(format!(
-                    "bad --backend: {v:?} (blocking|prefetch|mmap|uring)"
-                )),
+                Some(v) => IoBackend::parse(v)
+                    .map(Some)
+                    .ok_or(format!("bad --backend: {v:?} (blocking|mmap|uring)")),
             }
         };
     let get_codec =
@@ -820,7 +820,6 @@ mod tests {
     fn parses_backend_flag() {
         for (name, backend) in [
             ("blocking", IoBackend::Blocking),
-            ("prefetch", IoBackend::Prefetch),
             ("MMAP", IoBackend::Mmap),
             ("uring", IoBackend::Uring),
             ("io_uring", IoBackend::Uring),

@@ -8,7 +8,7 @@
 //! paper's output contract.
 //!
 //! The I/O-backend dimension additionally pins down the backend
-//! contract: a prefetching or memory-mapped run must report the *same*
+//! contract: a uring or memory-mapped run must report the *same*
 //! triangle count and the *same* per-worker `bytes_read` total as its
 //! blocking twin — the backend is a scheduling/copy choice, not a
 //! different I/O plan.

@@ -1,11 +1,12 @@
 //! Engine-level graceful degradation of the `io_uring` backend.
 //!
 //! A worker configured with `IoBackend::Uring` on a host whose kernel
-//! gates `io_uring` off must fall back to the prefetch backend *without
+//! gates `io_uring` off must fall back to the blocking backend *without
 //! miscounting anything*: same triangles, same `bytes_read`, same
-//! `seeks` as an explicit prefetch run. This binary runs in its own
-//! process with the `PDTL_URING_DISABLE` kill-switch set, which is the
-//! same code path a kernel without the syscalls takes.
+//! `seeks`, same `read_ops` as an explicit blocking run. This binary
+//! runs in its own process with the `PDTL_URING_DISABLE` kill-switch
+//! set, which is the same code path a kernel without the syscalls
+//! takes.
 
 use pdtl::core::mgt::{mgt_count_range_opt, MgtOptions};
 use pdtl::core::orient::orient_to_disk;
@@ -60,12 +61,13 @@ fn engine_falls_back_without_miscounting() {
         (r.triangles, r.io.bytes_read, r.io.seeks, r.io.read_ops)
     };
 
-    // With uring disabled, a Uring-configured worker runs the prefetch
+    // With uring disabled, a Uring-configured worker runs the blocking
     // path — identical counts *and* identical I/O accounting.
+    assert_eq!(IoBackend::Uring.resolve(), IoBackend::Blocking);
     let uring = run(IoBackend::Uring);
-    let prefetch = run(IoBackend::Prefetch);
+    let blocking = run(IoBackend::Blocking);
     assert_eq!(uring.0, expected, "fallback run matches the oracle");
-    assert_eq!(uring, prefetch, "fallback accounts exactly like prefetch");
+    assert_eq!(uring, blocking, "fallback accounts exactly like blocking");
 }
 
 #[test]
