@@ -38,8 +38,9 @@
 //! down.
 //!
 //! The plan is interpreted by the master: node-level faults ship to
-//! nodes inside the Config message's directives tail, short reads ride
-//! the per-worker record tail, and `copyfail` never leaves the master.
+//! nodes inside the Config message's directives, short reads ride each
+//! worker's `WorkerConfig::read_fault`, and `copyfail` never leaves the
+//! master.
 //! Recovery dispatches (range reassignment, the master-local fallback)
 //! deliberately ship no faults — the plan models hosts failing, not the
 //! master's own process.
@@ -258,7 +259,7 @@ pub struct ResolvedFaults {
 impl ResolvedFaults {
     /// Faults to ship with a dispatch to `node`, consuming one charge
     /// of each matching spec: the node-level fault for the Config
-    /// directives tail plus the per-worker short-read budget.
+    /// directives plus the per-worker short-read budget.
     pub fn dispatch_faults(&mut self, node: usize) -> (NodeFault, Option<u64>) {
         let mut node_fault = NodeFault::None;
         let mut read_fault = None;

@@ -1,27 +1,288 @@
-//! The wire protocol between master and nodes.
+//! The wire protocol between master and nodes, and between serve-mode
+//! clients and the daemon.
 //!
-//! Messages use a compact hand-rolled little-endian binary encoding (tag
-//! byte + fields) so their exact byte sizes are meaningful for the
-//! network accounting: the `Θ(NP)` configuration term and the `Θ(T)`
+//! One rule encodes every message: the [`WIRE_VERSION`] byte, a tag
+//! byte, then the message's fields in declaration order, each written by
+//! the `Wire` field codec — little-endian integers, a `u32` count
+//! before a string or vector, a presence byte before an `Option`, and a
+//! discriminant byte before an enum's fields. The exact byte sizes are
+//! the network accounting: the `Θ(NP)` configuration term and the `Θ(T)`
 //! listing term of Theorem IV.3 are measured from these encodings.
+//!
+//! Decoding is strict. Another version, an unknown tag or discriminant,
+//! a truncated field, or bytes left over after the last field is a
+//! [`ClusterError::Protocol`]; nothing is skipped or defaulted. A count
+//! read from the wire never allocates more elements than the remaining
+//! bytes could hold.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdtl_io::{Codec, IoBackend};
 
 use crate::error::{ClusterError, Result};
 
+/// The version byte every message starts with. A peer speaking another
+/// version is rejected, never reinterpreted.
+pub const WIRE_VERSION: u8 = 1;
+
+/// The field codec: how one value is written to, and read back from,
+/// the wire.
+pub(crate) trait Wire: Sized {
+    /// The fewest bytes any encoding of `Self` occupies. A counted
+    /// vector refuses a count the remaining bytes cannot back before it
+    /// allocates; every type has `MIN_LEN >= 1`.
+    const MIN_LEN: usize;
+
+    /// Append the encoding of `self` to `b`.
+    fn put(&self, b: &mut Vec<u8>);
+
+    /// Read one value from the front of `r`.
+    fn get(r: &mut Reader<'_>) -> Result<Self>;
+}
+
+/// A bounds-checked cursor over an encoded message.
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let Some((head, rest)) = self.buf.split_at_checked(n) else {
+            return Err(ClusterError::Protocol(format!(
+                "truncated message: need {n} bytes, have {}",
+                self.buf.len()
+            )));
+        };
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    fn get<T: Wire>(&mut self) -> Result<T> {
+        T::get(self)
+    }
+}
+
+fn unknown(what: &str, discriminant: u8) -> ClusterError {
+    ClusterError::Protocol(format!("unknown {what} discriminant {discriminant}"))
+}
+
+/// Write a string or vector length. Every collection on the wire is far
+/// below `u32::MAX` elements: a TCP frame is capped at 64 MiB.
+fn put_count(len: usize, b: &mut Vec<u8>) {
+    u32::try_from(len)
+        .expect("wire collections hold fewer than 2^32 elements")
+        .put(b);
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, b: &mut Vec<u8>) {
+                b.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u32, u64);
+
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        u8::from(*self).put(b);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        match r.get::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            d => Err(unknown("bool", d)),
+        }
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        put_count(self.len(), b);
+        b.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let len = r.get::<u32>()? as usize;
+        let bytes = r.take(len)?;
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| ClusterError::Protocol("invalid utf-8 string".into()))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        self.is_some().put(b);
+        if let Some(v) = self {
+            v.put(b);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        r.get::<bool>()?.then(|| r.get()).transpose()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        put_count(self.len(), b);
+        b.reserve(self.len() * T::MIN_LEN);
+        for v in self {
+            v.put(b);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let count = r.get::<u32>()? as usize;
+        let need = count.saturating_mul(T::MIN_LEN);
+        let remaining = r.buf.len();
+        if need > remaining {
+            return Err(ClusterError::Protocol(format!(
+                "count {count} needs at least {need} bytes, {remaining} remain"
+            )));
+        }
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(r.get()?);
+        }
+        Ok(out)
+    }
+}
+
+impl Wire for (u32, u32, u32) {
+    const MIN_LEN: usize = 12;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        self.0.put(b);
+        self.1.put(b);
+        self.2.put(b);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok((r.get()?, r.get()?, r.get()?))
+    }
+}
+
+/// An [`IoBackend`] travels as its index in [`IoBackend::ALL`].
+impl Wire for IoBackend {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        let index = IoBackend::ALL
+            .iter()
+            .position(|x| x == self)
+            .expect("IoBackend::ALL lists every backend");
+        (index as u8).put(b);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let d = r.get::<u8>()?;
+        IoBackend::ALL
+            .get(usize::from(d))
+            .copied()
+            .ok_or_else(|| unknown("I/O backend", d))
+    }
+}
+
+/// A [`Codec`] travels as its on-disk [`discriminant`](Codec::discriminant).
+impl Wire for Codec {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        self.discriminant().put(b);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let d = r.get::<u8>()?;
+        Codec::from_discriminant(d).ok_or_else(|| unknown("codec", d))
+    }
+}
+
+/// Implement [`Wire`] for a record as its fields, in order. The field
+/// list must name every field with its type, or the decoder's struct
+/// literal does not compile.
+macro_rules! wire_record {
+    ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 0 $(+ <$fty as Wire>::MIN_LEN)*;
+
+            fn put(&self, b: &mut Vec<u8>) {
+                $(self.$field.put(b);)*
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok($ty { $($field: r.get::<$fty>()?),* })
+            }
+        }
+    };
+}
+
+/// Implement [`Wire`] for an enum from its tag table: the variant's tag
+/// byte, then its fields in order. With `version`, every value starts
+/// with that byte and a decoder refuses any other.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal $(, version $version:ident)? {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident: $fty:ty),* $(,)? })?
+            $(($($pos:ident: $pty:ty),*))?,)*
+    }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 1;
+
+            fn put(&self, b: &mut Vec<u8>) {
+                $($version.put(b);)?
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(($($pos),*))? => {
+                        ($tag as u8).put(b);
+                        $($($field.put(b);)*)?
+                        $($($pos.put(b);)*)?
+                    })*
+                }
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                $(
+                    let version = r.get::<u8>()?;
+                    if version != $version {
+                        return Err(ClusterError::Protocol(format!(
+                            "wire version {version}, expected {}",
+                            $version
+                        )));
+                    }
+                )?
+                match r.get::<u8>()? {
+                    $($tag => Ok($ty::$variant
+                        $({ $($field: r.get::<$fty>()?),* })?
+                        $(($(r.get::<$pty>()?),*))?),)*
+                    d => Err(unknown($what, d)),
+                }
+            }
+        }
+    };
+}
+
 /// One logical processor's configuration `C_{i,j}` (Figure 1): its
 /// memory budget, pivot-edge range and MGT engine flags.
-///
-/// **Wire format.** Worker records are *length-prefixed*: each record
-/// is a `u16` byte length followed by that many bytes, of which the
-/// first [`WIRE_LEN`](Self::WIRE_LEN) are the fields below in order;
-/// decoders skip any trailing bytes they do not understand, so the next
-/// engine option extends the record without breaking older decoders (or
-/// this one — see the forward-compat test). PR 3-era `Config` messages
-/// (fixed 29-byte records under the original tag) still decode: the I/O
-/// backend lives in bits 1–2 of the flags byte, and the old `overlap_io`
-/// bit (discriminant 1, now retired) decodes as `Blocking`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerConfig {
     /// Range start (oriented adjacency position).
@@ -38,157 +299,28 @@ pub struct WorkerConfig {
     /// hardware) — see `MgtOptions::io_latency`.
     pub io_latency_us: u32,
     /// Injected read fault: deliver this many `u32`s through the scan
-    /// source, then fail (`MgtOptions::read_fault`). Rides the
-    /// length-prefixed record tail — the flags byte is full (bits 1–2
-    /// hold the backend), and PR 5-era decoders skip the tail — and is
-    /// only encoded when set, so fault-free records stay byte-identical
-    /// to PR 5's.
+    /// source, then fail (`MgtOptions::read_fault`).
     pub read_fault: Option<u64>,
     /// On-disk codec the worker's node writes its oriented replica in
-    /// (`MgtOptions::codec`). Rides the record tail *after* the fault
-    /// tail — tail fields are positional, so the fault tail is emitted
-    /// (presence byte 0) whenever the codec needs encoding — and is
-    /// only encoded when not [`Codec::Raw`], keeping default records
-    /// byte-identical to PR 5's and fault-only records to PR 7's.
-    /// Unknown discriminants from newer encoders decode as `Raw`.
+    /// (`MgtOptions::codec`).
     pub codec: Codec,
 }
 
-/// Wire flag bits of [`WorkerConfig`].
-const FLAG_SCAN_PRUNING: u8 = 1;
-/// Bits 1–2 of the flags byte: the [`IoBackend`] discriminant
-/// (`0 = Blocking`, `2 = Mmap`, `3 = Uring`; `1` is retired). PR 3
-/// used bit 1 as a bare `overlap_io` flag, later the thread-based
-/// overlapping backend; both decode as `Blocking` now. Backends differ
-/// only in scheduling, never in counts, so an old peer's overlap
-/// request still gets exact answers. PR 4 reserved discriminant 3,
-/// which its decoders degrade to the default backend, so an old node
-/// handed a `Uring` config still runs. Growing the field would
-/// reinterpret old flag bytes: a new backend must claim discriminant 1
-/// or a fresh field in the length-prefixed record tail (which old
-/// decoders skip).
-const BACKEND_SHIFT: u8 = 1;
-const BACKEND_MASK: u8 = 0b110;
-
-/// `backend` packed into bits 1–2 of a flags byte.
-fn backend_bits(backend: IoBackend) -> u8 {
-    let discriminant = match backend {
-        IoBackend::Blocking => 0u8,
-        IoBackend::Mmap => 2,
-        IoBackend::Uring => 3,
-    };
-    discriminant << BACKEND_SHIFT
-}
-
-/// The backend in bits 1–2 of a flags byte. Platforms that cannot serve
-/// it degrade at `IoBackend::resolve` time in the engine, never here.
-fn backend_from_bits(flags: u8) -> IoBackend {
-    match (flags & BACKEND_MASK) >> BACKEND_SHIFT {
-        2 => IoBackend::Mmap,
-        3 => IoBackend::Uring,
-        // 0, and the retired overlap discriminant 1.
-        _ => IoBackend::Blocking,
-    }
-}
-
-impl WorkerConfig {
-    /// Known record bytes: `start` + `end` + `budget_edges` (u64 each),
-    /// flags (u8), `io_latency_us` (u32). Newer encoders may append
-    /// fields after these; the length prefix tells decoders how much
-    /// to skip.
-    pub const WIRE_LEN: usize = 8 + 8 + 8 + 1 + 4;
-
-    /// Record tail bytes appended when `read_fault` is set: a presence
-    /// byte plus the `u64` budget.
-    const FAULT_TAIL_LEN: usize = 1 + 8;
-
-    /// Record tail bytes appended after the fault tail when the codec
-    /// is not [`Codec::Raw`]: the codec discriminant.
-    const CODEC_TAIL_LEN: usize = 1;
-
-    /// Pack the engine flags into the wire byte.
-    fn flags(&self) -> u8 {
-        u8::from(self.scan_pruning) * FLAG_SCAN_PRUNING + backend_bits(self.backend)
-    }
-
-    /// Encode one length-prefixed record. Tail fields are positional
-    /// and appended only as far as needed: nothing for a fault-free
-    /// `Raw` record (byte-identical to PR 5), the fault tail alone for
-    /// a fault-bearing `Raw` record (byte-identical to PR 7), and the
-    /// fault tail (presence byte 0 when no fault) followed by the
-    /// codec byte for a non-raw codec.
-    fn encode_record(&self, b: &mut BytesMut) {
-        let codec_tail = self.codec != Codec::Raw;
-        let fault_tail = self.read_fault.is_some() || codec_tail;
-        let len = Self::WIRE_LEN
-            + if fault_tail { Self::FAULT_TAIL_LEN } else { 0 }
-            + if codec_tail { Self::CODEC_TAIL_LEN } else { 0 };
-        b.put_u16_le(len as u16);
-        b.put_u64_le(self.start);
-        b.put_u64_le(self.end);
-        b.put_u64_le(self.budget_edges);
-        b.put_u8(self.flags());
-        b.put_u32_le(self.io_latency_us);
-        if fault_tail {
-            b.put_u8(u8::from(self.read_fault.is_some()));
-            b.put_u64_le(self.read_fault.unwrap_or(0));
-        }
-        if codec_tail {
-            b.put_u8(self.codec.discriminant());
-        }
-    }
-
-    /// Decode the fixed known fields shared by both wire generations.
-    fn decode_fields(buf: &mut Bytes) -> Self {
-        let (start, end, budget_edges) = (buf.get_u64_le(), buf.get_u64_le(), buf.get_u64_le());
-        let flags = buf.get_u8();
-        WorkerConfig {
-            start,
-            end,
-            budget_edges,
-            scan_pruning: flags & FLAG_SCAN_PRUNING != 0,
-            backend: backend_from_bits(flags),
-            io_latency_us: buf.get_u32_le(),
-            read_fault: None,
-            codec: Codec::Raw,
-        }
-    }
-
-    /// Decode one length-prefixed record, skipping any trailing bytes a
-    /// newer encoder may have appended (forward compatibility).
-    fn decode_record(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 2)?;
-        let len = buf.get_u16_le() as usize;
-        need(buf, len)?;
-        if len < Self::WIRE_LEN {
-            return Err(ClusterError::Protocol(format!(
-                "worker record of {len} bytes, need at least {}",
-                Self::WIRE_LEN
-            )));
-        }
-        let mut cfg = Self::decode_fields(buf);
-        let mut rest = len - Self::WIRE_LEN;
-        if rest >= Self::FAULT_TAIL_LEN {
-            let present = buf.get_u8() != 0;
-            let budget = buf.get_u64_le();
-            cfg.read_fault = present.then_some(budget);
-            rest -= Self::FAULT_TAIL_LEN;
-        }
-        if rest >= Self::CODEC_TAIL_LEN {
-            // Unknown discriminants (a newer master's codec) degrade to
-            // Raw: the node still writes a replica every engine reads.
-            cfg.codec = Codec::from_discriminant(buf.get_u8()).unwrap_or(Codec::Raw);
-            rest -= Self::CODEC_TAIL_LEN;
-        }
-        buf.advance(rest);
-        Ok(cfg)
-    }
-}
+wire_record!(WorkerConfig {
+    start: u64,
+    end: u64,
+    budget_edges: u64,
+    scan_pruning: bool,
+    backend: IoBackend,
+    io_latency_us: u32,
+    read_fault: Option<u64>,
+    codec: Codec,
+});
 
 /// A node-level fault directive injected by the master's
 /// [`FaultPlan`](crate::FaultPlan), executed by `serve_node` when the
-/// config arrives. On the wire it is a kind byte plus a `u32` argument
-/// inside the Config message's length-prefixed directives tail.
+/// config arrives. On the wire it is a kind byte, followed by the delay
+/// for [`Delay`](Self::Delay).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeFault {
     /// No injected fault.
@@ -206,79 +338,29 @@ pub enum NodeFault {
     Delay(u32),
 }
 
-impl NodeFault {
-    fn wire_kind(self) -> (u8, u32) {
-        match self {
-            NodeFault::None => (0, 0),
-            NodeFault::Panic => (1, 0),
-            NodeFault::Drop => (2, 0),
-            NodeFault::Stall => (3, 0),
-            NodeFault::Delay(ms) => (4, ms),
-        }
-    }
+wire_enum!(NodeFault, "node fault" {
+    0 => None,
+    1 => Panic,
+    2 => Drop,
+    3 => Stall,
+    4 => Delay(ms: u32),
+});
 
-    fn from_wire(kind: u8, arg: u32) -> Self {
-        match kind {
-            1 => NodeFault::Panic,
-            2 => NodeFault::Drop,
-            3 => NodeFault::Stall,
-            4 => NodeFault::Delay(arg),
-            // Unknown kinds (a newer master) degrade to no fault: a
-            // node that cannot simulate a failure mode just works.
-            _ => NodeFault::None,
-        }
-    }
-}
-
-/// Runtime directives for one node dispatch, carried in a
-/// length-prefixed tail after the Config message's worker records
-/// (which PR 5-era decoders ignore, and whose absence this decoder
-/// defaults).
+/// Runtime directives for one node dispatch, carried by the Config
+/// message after its worker records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeDirectives {
     /// Milliseconds between `Progress` heartbeats while workers run;
-    /// `0` disables heartbeats (the PR 5 behaviour).
+    /// `0` disables heartbeats.
     pub heartbeat_ms: u32,
     /// Injected fault for this dispatch.
     pub fault: NodeFault,
 }
 
-impl NodeDirectives {
-    /// Known tail bytes: heartbeat (u32), fault kind (u8) + arg (u32).
-    const WIRE_LEN: usize = 4 + 1 + 4;
-
-    fn encode_tail(&self, b: &mut BytesMut) {
-        b.put_u16_le(Self::WIRE_LEN as u16);
-        b.put_u32_le(self.heartbeat_ms);
-        let (kind, arg) = self.fault.wire_kind();
-        b.put_u8(kind);
-        b.put_u32_le(arg);
-    }
-
-    /// Decode the directives tail if present; a PR 5-era Config ends at
-    /// the worker records and yields the defaults.
-    fn decode_tail(buf: &mut Bytes) -> Result<Self> {
-        if buf.remaining() < 2 {
-            return Ok(Self::default());
-        }
-        let len = buf.get_u16_le() as usize;
-        need(buf, len)?;
-        if len < Self::WIRE_LEN {
-            // A shorter tail from some future pruned encoding: treat as
-            // absent rather than misparse.
-            buf.advance(len);
-            return Ok(Self::default());
-        }
-        let heartbeat_ms = buf.get_u32_le();
-        let kind = buf.get_u8();
-        let arg = buf.get_u32_le();
-        buf.advance(len - Self::WIRE_LEN);
-        Ok(NodeDirectives {
-            heartbeat_ms,
-            fault: NodeFault::from_wire(kind, arg),
-        })
-    }
-}
+wire_record!(NodeDirectives {
+    heartbeat_ms: u32,
+    fault: NodeFault,
+});
 
 /// One worker's result summary sent back to the master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,17 +393,31 @@ pub struct WorkerSummary {
     pub wall_nanos: u64,
 }
 
+wire_record!(WorkerSummary {
+    worker: u32,
+    start: u64,
+    end: u64,
+    triangles: u64,
+    iterations: u64,
+    cpu_ops: u64,
+    bytes_read: u64,
+    bytes_written: u64,
+    seeks: u64,
+    io_ops: u64,
+    io_nanos: u64,
+    wall_nanos: u64,
+});
+
 /// The analytics operation a serve-mode [`Message::Query`] requests.
 ///
-/// On the wire every operation is one fixed 17-byte record — kind byte,
-/// `u32` arg `a`, `u64` arg `b`, `u32` arg `c` — so adding an operation
-/// never changes message framing. Unused args encode as zero.
+/// On the wire an operation is its kind byte followed by the variant's
+/// fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOperation {
     /// Exact triangle count (kind 0).
     Count,
     /// Exact listing; at most `limit` triples are returned in the
-    /// response (the count is always exact) (kind 1, `a = limit`).
+    /// response (the count is always exact) (kind 1).
     List {
         /// Maximum triples echoed back in the response.
         limit: u32,
@@ -330,13 +426,12 @@ pub enum QueryOperation {
     /// coefficient and the transitivity ratio (kind 2).
     Clustering,
     /// K-truss: the response carries the `k`-truss edge count and the
-    /// maximum `k` of the decomposition (kind 3, `a = k`).
+    /// maximum `k` of the decomposition (kind 3).
     KTruss {
         /// The truss order requested.
         k: u32,
     },
-    /// DOULION estimate averaged over `trials` sparsifications (kind 4,
-    /// `a = p_ppm`, `b = seed`, `c = trials`).
+    /// DOULION estimate averaged over `trials` sparsifications (kind 4).
     Doulion {
         /// Edge-keep probability in parts per million (`1_000_000` = 1.0);
         /// an integer so the wire stays free of float encodings.
@@ -348,50 +443,19 @@ pub enum QueryOperation {
     },
 }
 
+wire_enum!(QueryOperation, "operation kind" {
+    0 => Count,
+    1 => List { limit: u32 },
+    2 => Clustering,
+    3 => KTruss { k: u32 },
+    4 => Doulion {
+        p_ppm: u32,
+        seed: u64,
+        trials: u32,
+    },
+});
+
 impl QueryOperation {
-    /// Record bytes: kind + `a` + `b` + `c`.
-    const WIRE_LEN: usize = 1 + 4 + 8 + 4;
-
-    fn encode(&self, b: &mut BytesMut) {
-        let (kind, a, bb, c) = match *self {
-            QueryOperation::Count => (0u8, 0u32, 0u64, 0u32),
-            QueryOperation::List { limit } => (1, limit, 0, 0),
-            QueryOperation::Clustering => (2, 0, 0, 0),
-            QueryOperation::KTruss { k } => (3, k, 0, 0),
-            QueryOperation::Doulion {
-                p_ppm,
-                seed,
-                trials,
-            } => (4, p_ppm, seed, trials),
-        };
-        b.put_u8(kind);
-        b.put_u32_le(a);
-        b.put_u64_le(bb);
-        b.put_u32_le(c);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        need(buf, Self::WIRE_LEN)?;
-        let kind = buf.get_u8();
-        let a = buf.get_u32_le();
-        let b = buf.get_u64_le();
-        let c = buf.get_u32_le();
-        match kind {
-            0 => Ok(QueryOperation::Count),
-            1 => Ok(QueryOperation::List { limit: a }),
-            2 => Ok(QueryOperation::Clustering),
-            3 => Ok(QueryOperation::KTruss { k: a }),
-            4 => Ok(QueryOperation::Doulion {
-                p_ppm: a,
-                seed: b,
-                trials: c,
-            }),
-            k => Err(ClusterError::Protocol(format!(
-                "unknown operation kind {k}"
-            ))),
-        }
-    }
-
     /// Human-readable operation name (CLI/report output).
     pub fn name(&self) -> &'static str {
         match self {
@@ -407,12 +471,6 @@ impl QueryOperation {
 /// Per-query engine knobs carried by [`Message::Query`] — the serve-mode
 /// analogue of a [`WorkerConfig`]: each query picks its own parallelism,
 /// memory budget, I/O backend and codec.
-///
-/// **Wire format.** A length-prefixed record in the [`WorkerConfig`]
-/// style: `u16` length, then `cores` (u32), `budget_edges` (u64), the
-/// shared flags byte (bit 0 scan pruning, bits 1–2 backend), the codec
-/// discriminant (u8), and `io_latency_us` (u32). Decoders skip trailing
-/// bytes, so future knobs extend the record without a new tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Worker threads for this query; `0` means "server default".
@@ -443,45 +501,14 @@ impl Default for QueryOptions {
     }
 }
 
-impl QueryOptions {
-    /// Known record bytes: cores + budget + flags + codec + latency.
-    const WIRE_LEN: usize = 4 + 8 + 1 + 1 + 4;
-
-    fn encode_record(&self, b: &mut BytesMut) {
-        b.put_u16_le(Self::WIRE_LEN as u16);
-        b.put_u32_le(self.cores);
-        b.put_u64_le(self.budget_edges);
-        b.put_u8(u8::from(self.scan_pruning) * FLAG_SCAN_PRUNING + backend_bits(self.backend));
-        b.put_u8(self.codec.discriminant());
-        b.put_u32_le(self.io_latency_us);
-    }
-
-    fn decode_record(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 2)?;
-        let len = buf.get_u16_le() as usize;
-        need(buf, len)?;
-        if len < Self::WIRE_LEN {
-            return Err(ClusterError::Protocol(format!(
-                "query options record of {len} bytes, need at least {}",
-                Self::WIRE_LEN
-            )));
-        }
-        let cores = buf.get_u32_le();
-        let budget_edges = buf.get_u64_le();
-        let flags = buf.get_u8();
-        let codec = Codec::from_discriminant(buf.get_u8()).unwrap_or(Codec::Raw);
-        let io_latency_us = buf.get_u32_le();
-        buf.advance(len - Self::WIRE_LEN);
-        Ok(QueryOptions {
-            cores,
-            budget_edges,
-            scan_pruning: flags & FLAG_SCAN_PRUNING != 0,
-            backend: backend_from_bits(flags),
-            codec,
-            io_latency_us,
-        })
-    }
-}
+wire_record!(QueryOptions {
+    cores: u32,
+    budget_edges: u64,
+    scan_pruning: bool,
+    backend: IoBackend,
+    codec: Codec,
+    io_latency_us: u32,
+});
 
 /// One catalog entry in a [`Message::StatsResult`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -493,6 +520,12 @@ pub struct CatalogGraphInfo {
     /// Undirected edge count `|E*|`.
     pub m_star: u64,
 }
+
+wire_record!(CatalogGraphInfo {
+    name: String,
+    vertices: u32,
+    m_star: u64,
+});
 
 /// Aggregate serve-mode counters returned by a stats request.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -519,6 +552,19 @@ pub struct ServerStats {
     /// The graphs being served.
     pub graphs: Vec<CatalogGraphInfo>,
 }
+
+wire_record!(ServerStats {
+    served: u64,
+    failed: u64,
+    inflight: u32,
+    rejected_graphs: u32,
+    bytes_read: u64,
+    u32s_decoded: u64,
+    admitted_peak: u64,
+    budget_total: u64,
+    latency_buckets: Vec<u64>,
+    graphs: Vec<CatalogGraphInfo>,
+});
 
 impl ServerStats {
     /// Upper bound (in microseconds) of the histogram bucket containing
@@ -555,8 +601,7 @@ pub enum Message {
         workers: Vec<WorkerConfig>,
         /// Whether to stream triangle lists back.
         listing: bool,
-        /// Heartbeat cadence and injected fault for this dispatch
-        /// (length-prefixed wire tail; defaults when absent).
+        /// Heartbeat cadence and injected fault for this dispatch.
         directives: NodeDirectives,
     },
     /// Node → master: per-worker summaries.
@@ -603,7 +648,7 @@ pub enum Message {
         options: QueryOptions,
     },
     /// Server → client: a successful query answer. The meaning of the
-    /// scalar fields is per-operation (see the serve-mode wire table in
+    /// scalar fields is per-operation (see the serve-mode section of
     /// ARCHITECTURE.md): `triangles` is the exact count for the MGT
     /// operations, `value_bits` an `f64` in bits for clustering and
     /// DOULION (the `k`-truss edge count for `ktruss`), and `aux` the
@@ -642,375 +687,64 @@ pub enum Message {
     },
 }
 
-/// PR 3-era `Config` tag: fixed 29-byte worker records, no length
-/// prefix. Decoded for compatibility, never emitted.
-const TAG_CONFIG_LEGACY: u8 = 1;
-const TAG_RESULTS: u8 = 2;
-const TAG_TRIANGLES: u8 = 3;
-const TAG_NODE_ERROR: u8 = 4;
-/// Current `Config` tag: length-prefixed worker records.
-const TAG_CONFIG: u8 = 5;
-const TAG_PROGRESS: u8 = 6;
-const TAG_SHUTDOWN: u8 = 7;
-/// Serve-mode request/response tags (PR 10). They extend the same tag
-/// space — a serve-mode client and a cluster node share one decoder.
-const TAG_QUERY: u8 = 8;
-const TAG_QUERY_RESULT: u8 = 9;
-const TAG_QUERY_ERROR: u8 = 10;
-const TAG_STATS_REQUEST: u8 = 11;
-const TAG_STATS_RESULT: u8 = 12;
+wire_enum!(Message, "message tag", version WIRE_VERSION {
+    0 => Config {
+        node: u32,
+        graph_base: String,
+        workers: Vec<WorkerConfig>,
+        listing: bool,
+        directives: NodeDirectives,
+    },
+    1 => Results { node: u32, workers: Vec<WorkerSummary> },
+    2 => Triangles { node: u32, triples: Vec<(u32, u32, u32)> },
+    3 => NodeError { node: u32, detail: String },
+    4 => Progress { node: u32, seq: u32 },
+    5 => Shutdown,
+    6 => Query {
+        id: u32,
+        graph: String,
+        op: QueryOperation,
+        options: QueryOptions,
+    },
+    7 => QueryResult {
+        id: u32,
+        triangles: u64,
+        value_bits: u64,
+        aux: u64,
+        wall_nanos: u64,
+        workers: Vec<WorkerSummary>,
+        triples: Vec<(u32, u32, u32)>,
+    },
+    8 => QueryError { id: u32, detail: String },
+    9 => StatsRequest,
+    10 => StatsResult { stats: ServerStats },
+});
 
 impl Message {
     /// Encode into a byte buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
-        match self {
-            Message::Config {
-                node,
-                graph_base,
-                workers,
-                listing,
-                directives,
-            } => {
-                b.put_u8(TAG_CONFIG);
-                b.put_u32_le(*node);
-                put_string(&mut b, graph_base);
-                b.put_u8(u8::from(*listing));
-                b.put_u32_le(workers.len() as u32);
-                for w in workers {
-                    w.encode_record(&mut b);
-                }
-                // PR 5-era decoders stop at the last worker record and
-                // ignore this tail.
-                directives.encode_tail(&mut b);
-            }
-            Message::Results { node, workers } => {
-                b.put_u8(TAG_RESULTS);
-                b.put_u32_le(*node);
-                put_summaries(&mut b, workers);
-            }
-            Message::Triangles { node, triples } => {
-                b.put_u8(TAG_TRIANGLES);
-                b.put_u32_le(*node);
-                b.put_u32_le(triples.len() as u32);
-                for &(u, v, w) in triples {
-                    b.put_u32_le(u);
-                    b.put_u32_le(v);
-                    b.put_u32_le(w);
-                }
-            }
-            Message::NodeError { node, detail } => {
-                b.put_u8(TAG_NODE_ERROR);
-                b.put_u32_le(*node);
-                put_string(&mut b, detail);
-            }
-            Message::Progress { node, seq } => {
-                b.put_u8(TAG_PROGRESS);
-                b.put_u32_le(*node);
-                b.put_u32_le(*seq);
-            }
-            Message::Shutdown => {
-                b.put_u8(TAG_SHUTDOWN);
-                // Filler id: every message carries a u32 after the tag.
-                b.put_u32_le(0);
-            }
-            Message::Query {
-                id,
-                graph,
-                op,
-                options,
-            } => {
-                b.put_u8(TAG_QUERY);
-                b.put_u32_le(*id);
-                put_string(&mut b, graph);
-                op.encode(&mut b);
-                options.encode_record(&mut b);
-            }
-            Message::QueryResult {
-                id,
-                triangles,
-                value_bits,
-                aux,
-                wall_nanos,
-                workers,
-                triples,
-            } => {
-                b.put_u8(TAG_QUERY_RESULT);
-                b.put_u32_le(*id);
-                b.put_u64_le(*triangles);
-                b.put_u64_le(*value_bits);
-                b.put_u64_le(*aux);
-                b.put_u64_le(*wall_nanos);
-                put_summaries(&mut b, workers);
-                b.put_u32_le(triples.len() as u32);
-                for &(u, v, w) in triples {
-                    b.put_u32_le(u);
-                    b.put_u32_le(v);
-                    b.put_u32_le(w);
-                }
-            }
-            Message::QueryError { id, detail } => {
-                b.put_u8(TAG_QUERY_ERROR);
-                b.put_u32_le(*id);
-                put_string(&mut b, detail);
-            }
-            Message::StatsRequest => {
-                b.put_u8(TAG_STATS_REQUEST);
-                b.put_u32_le(0);
-            }
-            Message::StatsResult { stats } => {
-                b.put_u8(TAG_STATS_RESULT);
-                b.put_u32_le(0);
-                b.put_u64_le(stats.served);
-                b.put_u64_le(stats.failed);
-                b.put_u32_le(stats.inflight);
-                b.put_u32_le(stats.rejected_graphs);
-                b.put_u64_le(stats.bytes_read);
-                b.put_u64_le(stats.u32s_decoded);
-                b.put_u64_le(stats.admitted_peak);
-                b.put_u64_le(stats.budget_total);
-                b.put_u32_le(stats.latency_buckets.len() as u32);
-                for &count in &stats.latency_buckets {
-                    b.put_u64_le(count);
-                }
-                b.put_u32_le(stats.graphs.len() as u32);
-                for g in &stats.graphs {
-                    put_string(&mut b, &g.name);
-                    b.put_u32_le(g.vertices);
-                    b.put_u64_le(g.m_star);
-                }
-            }
-        }
-        b.freeze()
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::new();
+        self.put(&mut b);
+        b
     }
 
-    /// Decode a buffer produced by [`encode`](Self::encode).
-    pub fn decode(mut buf: Bytes) -> Result<Self> {
-        if buf.remaining() < 5 {
-            return Err(ClusterError::Protocol("short message".into()));
+    /// Decode a buffer produced by [`encode`](Self::encode); the buffer
+    /// must hold exactly one message.
+    pub fn decode(buf: &[u8]) -> Result<Self> {
+        let mut r = Reader { buf };
+        let msg = r.get::<Message>()?;
+        if !r.buf.is_empty() {
+            return Err(ClusterError::Protocol(format!(
+                "{} trailing bytes after the message",
+                r.buf.len()
+            )));
         }
-        let tag = buf.get_u8();
-        let node = buf.get_u32_le();
-        match tag {
-            TAG_CONFIG => {
-                let graph_base = get_string(&mut buf)?;
-                need(&buf, 5)?;
-                let listing = buf.get_u8() != 0;
-                let count = buf.get_u32_le() as usize;
-                let workers = (0..count)
-                    .map(|_| WorkerConfig::decode_record(&mut buf))
-                    .collect::<Result<Vec<_>>>()?;
-                let directives = NodeDirectives::decode_tail(&mut buf)?;
-                Ok(Message::Config {
-                    node,
-                    graph_base,
-                    workers,
-                    listing,
-                    directives,
-                })
-            }
-            TAG_CONFIG_LEGACY => {
-                // PR 3-era encoding: fixed-size records, no prefix. The
-                // flags-byte layout is shared, so the old overlap_io
-                // bit decodes as the retired discriminant 1: Blocking.
-                let graph_base = get_string(&mut buf)?;
-                need(&buf, 5)?;
-                let listing = buf.get_u8() != 0;
-                let count = buf.get_u32_le() as usize;
-                need(&buf, count * WorkerConfig::WIRE_LEN)?;
-                let workers = (0..count)
-                    .map(|_| WorkerConfig::decode_fields(&mut buf))
-                    .collect();
-                Ok(Message::Config {
-                    node,
-                    graph_base,
-                    workers,
-                    listing,
-                    directives: NodeDirectives::default(),
-                })
-            }
-            TAG_RESULTS => {
-                let workers = get_summaries(&mut buf)?;
-                Ok(Message::Results { node, workers })
-            }
-            TAG_TRIANGLES => {
-                need(&buf, 4)?;
-                let count = buf.get_u32_le() as usize;
-                need(&buf, count * 12)?;
-                let triples = (0..count)
-                    .map(|_| (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le()))
-                    .collect();
-                Ok(Message::Triangles { node, triples })
-            }
-            TAG_NODE_ERROR => {
-                let detail = get_string(&mut buf)?;
-                Ok(Message::NodeError { node, detail })
-            }
-            TAG_PROGRESS => {
-                need(&buf, 4)?;
-                let seq = buf.get_u32_le();
-                Ok(Message::Progress { node, seq })
-            }
-            TAG_SHUTDOWN => Ok(Message::Shutdown),
-            TAG_QUERY => {
-                let graph = get_string(&mut buf)?;
-                let op = QueryOperation::decode(&mut buf)?;
-                let options = QueryOptions::decode_record(&mut buf)?;
-                Ok(Message::Query {
-                    id: node,
-                    graph,
-                    op,
-                    options,
-                })
-            }
-            TAG_QUERY_RESULT => {
-                need(&buf, 4 * 8)?;
-                let triangles = buf.get_u64_le();
-                let value_bits = buf.get_u64_le();
-                let aux = buf.get_u64_le();
-                let wall_nanos = buf.get_u64_le();
-                let workers = get_summaries(&mut buf)?;
-                need(&buf, 4)?;
-                let count = buf.get_u32_le() as usize;
-                need(&buf, count * 12)?;
-                let triples = (0..count)
-                    .map(|_| (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le()))
-                    .collect();
-                Ok(Message::QueryResult {
-                    id: node,
-                    triangles,
-                    value_bits,
-                    aux,
-                    wall_nanos,
-                    workers,
-                    triples,
-                })
-            }
-            TAG_QUERY_ERROR => {
-                let detail = get_string(&mut buf)?;
-                Ok(Message::QueryError { id: node, detail })
-            }
-            TAG_STATS_REQUEST => Ok(Message::StatsRequest),
-            TAG_STATS_RESULT => {
-                need(&buf, 8 + 8 + 4 + 4 + 8 * 4)?;
-                let served = buf.get_u64_le();
-                let failed = buf.get_u64_le();
-                let inflight = buf.get_u32_le();
-                let rejected_graphs = buf.get_u32_le();
-                let bytes_read = buf.get_u64_le();
-                let u32s_decoded = buf.get_u64_le();
-                let admitted_peak = buf.get_u64_le();
-                let budget_total = buf.get_u64_le();
-                need(&buf, 4)?;
-                let buckets = buf.get_u32_le() as usize;
-                need(&buf, buckets * 8)?;
-                let latency_buckets = (0..buckets).map(|_| buf.get_u64_le()).collect();
-                need(&buf, 4)?;
-                let count = buf.get_u32_le() as usize;
-                let graphs = (0..count)
-                    .map(|_| {
-                        let name = get_string(&mut buf)?;
-                        need(&buf, 4 + 8)?;
-                        Ok(CatalogGraphInfo {
-                            name,
-                            vertices: buf.get_u32_le(),
-                            m_star: buf.get_u64_le(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Message::StatsResult {
-                    stats: ServerStats {
-                        served,
-                        failed,
-                        inflight,
-                        rejected_graphs,
-                        bytes_read,
-                        u32s_decoded,
-                        admitted_peak,
-                        budget_total,
-                        latency_buckets,
-                        graphs,
-                    },
-                })
-            }
-            t => Err(ClusterError::Protocol(format!("unknown tag {t}"))),
-        }
+        Ok(msg)
     }
 
     /// Encoded size in bytes (what the network accounting charges).
     pub fn wire_size(&self) -> u64 {
         self.encode().len() as u64
-    }
-}
-
-/// Encode a `u32` count followed by the fixed 92-byte summary records
-/// (shared by `Results` and `QueryResult`).
-fn put_summaries(b: &mut BytesMut, workers: &[WorkerSummary]) {
-    b.put_u32_le(workers.len() as u32);
-    for w in workers {
-        b.put_u32_le(w.worker);
-        for v in [
-            w.start,
-            w.end,
-            w.triangles,
-            w.iterations,
-            w.cpu_ops,
-            w.bytes_read,
-            w.bytes_written,
-            w.seeks,
-            w.io_ops,
-            w.io_nanos,
-            w.wall_nanos,
-        ] {
-            b.put_u64_le(v);
-        }
-    }
-}
-
-fn get_summaries(buf: &mut Bytes) -> Result<Vec<WorkerSummary>> {
-    need(buf, 4)?;
-    let count = buf.get_u32_le() as usize;
-    need(buf, count * (4 + 11 * 8))?;
-    Ok((0..count)
-        .map(|_| WorkerSummary {
-            worker: buf.get_u32_le(),
-            start: buf.get_u64_le(),
-            end: buf.get_u64_le(),
-            triangles: buf.get_u64_le(),
-            iterations: buf.get_u64_le(),
-            cpu_ops: buf.get_u64_le(),
-            bytes_read: buf.get_u64_le(),
-            bytes_written: buf.get_u64_le(),
-            seeks: buf.get_u64_le(),
-            io_ops: buf.get_u64_le(),
-            io_nanos: buf.get_u64_le(),
-            wall_nanos: buf.get_u64_le(),
-        })
-        .collect())
-}
-
-fn put_string(b: &mut BytesMut, s: &str) {
-    b.put_u32_le(s.len() as u32);
-    b.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut Bytes) -> Result<String> {
-    need(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len)?;
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| ClusterError::Protocol("invalid utf-8 string".into()))
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(ClusterError::Protocol(format!(
-            "truncated message: need {n}, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
     }
 }
 
@@ -1035,190 +769,74 @@ mod tests {
         }
     }
 
+    fn sample_worker(backend: IoBackend, codec: Codec) -> WorkerConfig {
+        WorkerConfig {
+            start: 7,
+            end: 900,
+            budget_edges: 4096,
+            scan_pruning: false,
+            backend,
+            io_latency_us: 50,
+            read_fault: None,
+            codec,
+        }
+    }
+
+    fn sample_query() -> Message {
+        Message::Query {
+            id: 1,
+            graph: "g".into(),
+            op: QueryOperation::Count,
+            options: QueryOptions {
+                cores: 2,
+                budget_edges: 512,
+                scan_pruning: true,
+                backend: IoBackend::Mmap,
+                codec: Codec::DeltaVarint,
+                io_latency_us: 0,
+            },
+        }
+    }
+
+    fn protocol_error(bytes: &[u8]) -> String {
+        match Message::decode(bytes) {
+            Err(ClusterError::Protocol(detail)) => detail,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn config_round_trip() {
         let msg = Message::Config {
             node: 3,
             graph_base: "/data/node3/oriented".into(),
-            workers: vec![
-                WorkerConfig {
-                    start: 0,
-                    end: 100,
-                    budget_edges: 50,
-                    scan_pruning: true,
-                    backend: IoBackend::Blocking,
-                    io_latency_us: 0,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 100,
-                    end: 220,
-                    budget_edges: 50,
-                    scan_pruning: false,
-                    backend: IoBackend::Blocking,
-                    io_latency_us: 50,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 220,
-                    end: 300,
-                    budget_edges: 50,
-                    scan_pruning: true,
-                    backend: IoBackend::Mmap,
-                    io_latency_us: 7,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 300,
-                    end: 420,
-                    budget_edges: 50,
-                    scan_pruning: true,
-                    backend: IoBackend::Uring,
-                    io_latency_us: 0,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-            ],
+            workers: IoBackend::ALL
+                .into_iter()
+                .enumerate()
+                .map(|(i, backend)| WorkerConfig {
+                    start: 100 * i as u64,
+                    scan_pruning: i % 2 == 0,
+                    ..sample_worker(backend, Codec::Raw)
+                })
+                .collect(),
             listing: true,
             directives: NodeDirectives::default(),
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
-    }
-
-    #[test]
-    fn pr3_era_config_still_decodes() {
-        // A Config message exactly as PR 3 encoded it: old tag byte,
-        // fixed 29-byte worker records, flags bit 1 = overlap_io. Both
-        // values of the overlap bit must decode as Blocking.
-        let mut b = BytesMut::new();
-        b.put_u8(1); // TAG_CONFIG_LEGACY
-        b.put_u32_le(3); // node
-        put_string(&mut b, "/data/node3/oriented");
-        b.put_u8(1); // listing
-        b.put_u32_le(2); // worker count
-        for (flags, latency) in [(0b01u8, 0u32), (0b11, 50)] {
-            b.put_u64_le(10);
-            b.put_u64_le(20);
-            b.put_u64_le(64);
-            b.put_u8(flags);
-            b.put_u32_le(latency);
-        }
-        let decoded = Message::decode(b.freeze()).unwrap();
-        let Message::Config { workers, node, .. } = decoded else {
-            panic!("expected Config, got {decoded:?}");
-        };
-        assert_eq!(node, 3);
-        assert_eq!(
-            workers,
-            vec![
-                WorkerConfig {
-                    start: 10,
-                    end: 20,
-                    budget_edges: 64,
-                    scan_pruning: true,
-                    backend: IoBackend::Blocking, // overlap_io = false
-                    io_latency_us: 0,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 10,
-                    end: 20,
-                    budget_edges: 64,
-                    scan_pruning: true,
-                    backend: IoBackend::Blocking, // overlap_io = true
-                    io_latency_us: 50,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn forward_compat_decoder_skips_unknown_record_tail() {
-        // A future encoder appends a field to each worker record and
-        // bumps the length prefix; this decoder must parse the fields
-        // it knows and skip the rest, for every worker in the message.
-        let workers = [(0u64, 100u64, 0b011u8), (100, 250, 0b101)];
-        let mut b = BytesMut::new();
-        b.put_u8(5); // TAG_CONFIG
-        b.put_u32_le(9);
-        put_string(&mut b, "/g");
-        b.put_u8(0);
-        b.put_u32_le(workers.len() as u32);
-        for &(start, end, flags) in &workers {
-            b.put_u16_le(29 + 6); // future record: 6 extra bytes
-            b.put_u64_le(start);
-            b.put_u64_le(end);
-            b.put_u64_le(1024);
-            b.put_u8(flags);
-            b.put_u32_le(0);
-            b.put_slice(b"future"); // the unknown field
-        }
-        let decoded = Message::decode(b.freeze()).unwrap();
-        let Message::Config { workers: got, .. } = decoded else {
-            panic!("expected Config, got {decoded:?}");
-        };
-        assert_eq!(got.len(), 2);
-        assert_eq!((got[0].start, got[0].end), (0, 100));
-        assert_eq!(got[0].backend, IoBackend::Blocking);
-        assert!(got[0].scan_pruning);
-        assert_eq!((got[1].start, got[1].end), (100, 250));
-        assert_eq!(got[1].backend, IoBackend::Mmap);
-        assert!(got[1].scan_pruning);
-    }
-
-    #[test]
-    fn backend_discriminants_cover_the_two_bit_field() {
-        // PR 4 reserved discriminant 3 and degraded it to the default
-        // backend; it now names Uring, so decoding wire bytes written
-        // by a newer (uring-aware) encoder yields Uring here — while
-        // the old decoder's degradation path keeps those same bytes
-        // runnable on PR 4-era nodes. Discriminant 1 (the old overlap
-        // bit, then the thread-based overlapping backend) is retired
-        // and decodes as Blocking. Growing the field would reinterpret
-        // old flag bytes.
-        assert_eq!(backend_from_bits(0b000), IoBackend::Blocking);
-        assert_eq!(backend_from_bits(0b010), IoBackend::Blocking);
-        assert_eq!(backend_from_bits(0b100), IoBackend::Mmap);
-        assert_eq!(backend_from_bits(0b110), IoBackend::Uring);
-        // scan_pruning (bit 0) never bleeds into the backend field.
-        assert_eq!(backend_from_bits(0b111), IoBackend::Uring);
-        assert_eq!(backend_from_bits(0b011), IoBackend::Blocking);
-        assert_eq!(backend_from_bits(0b001), IoBackend::Blocking);
-        // Every live backend round-trips, and none encodes as the
-        // retired discriminant.
-        for backend in IoBackend::ALL {
-            assert_eq!(backend_from_bits(backend_bits(backend)), backend);
-            assert_ne!(backend_bits(backend), 0b010, "{backend}");
-        }
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
     fn uring_config_round_trips_through_the_wire() {
-        // The discriminant-3 encoding decodes bit-exactly, alongside
-        // the forward-compat record-tail skip.
-        let cfg = WorkerConfig {
-            start: 7,
-            end: 900,
-            budget_edges: 4096,
-            scan_pruning: false,
-            backend: IoBackend::Uring,
-            io_latency_us: 50,
-            read_fault: None,
-            codec: Codec::Raw,
-        };
-        let mut b = BytesMut::new();
-        cfg.encode_record(&mut b);
-        let encoded = b.freeze();
-        // flags byte: backend 3 in bits 1-2, pruning bit clear
-        assert_eq!(encoded[2 + 24], 0b110);
-        let mut buf = encoded;
-        assert_eq!(WorkerConfig::decode_record(&mut buf).unwrap(), cfg);
+        for (i, backend) in IoBackend::ALL.into_iter().enumerate() {
+            let cfg = sample_worker(backend, Codec::Raw);
+            let mut b = Vec::new();
+            cfg.put(&mut b);
+            // start + end + budget, the pruning byte, then the backend's
+            // index in IoBackend::ALL
+            assert_eq!(b[25], i as u8, "{backend}");
+            assert_eq!(b.len(), WorkerConfig::MIN_LEN);
+            assert_eq!(Reader { buf: &b }.get::<WorkerConfig>().unwrap(), cfg);
+        }
     }
 
     #[test]
@@ -1226,33 +844,65 @@ mod tests {
         let msg = Message::Config {
             node: 0,
             graph_base: "x".into(),
-            workers: vec![WorkerConfig {
-                start: 0,
-                end: 1,
-                budget_edges: 1,
-                scan_pruning: true,
-                backend: IoBackend::Blocking,
-                io_latency_us: 0,
-                read_fault: None,
-                codec: Codec::Raw,
-            }],
+            workers: vec![sample_worker(IoBackend::Blocking, Codec::Raw)],
             listing: false,
             directives: NodeDirectives::default(),
         };
-        // record cut mid-field
+        // every cut, including one mid-field in the worker record
         let enc = msg.encode();
-        assert!(Message::decode(enc.slice(0..enc.len() - 3)).is_err());
-        // a length prefix smaller than the known fields
-        let mut b = BytesMut::new();
-        b.put_u8(5);
-        b.put_u32_le(0);
-        put_string(&mut b, "x");
-        b.put_u8(0);
-        b.put_u32_le(1);
-        b.put_u16_le(4); // too short to hold the known fields
-        b.put_u32_le(0);
-        let err = Message::decode(b.freeze()).unwrap_err();
-        assert!(err.to_string().contains("worker record"), "{err}");
+        for cut in 0..enc.len() {
+            assert!(Message::decode(&enc[..cut]).is_err(), "cut at {cut}");
+        }
+        // A Triangles count of u32::MAX with one triple behind it fails
+        // the count check before anything is allocated.
+        let mut b = Message::Triangles {
+            node: 0,
+            triples: vec![(1, 2, 3)],
+        }
+        .encode();
+        b[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+        let detail = protocol_error(&b);
+        assert!(detail.contains("count 4294967295"), "{detail}");
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        for msg in [Message::Shutdown, sample_query()] {
+            let mut b = msg.encode();
+            b.push(0);
+            let detail = protocol_error(&b);
+            assert!(detail.contains("1 trailing bytes"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn unknown_discriminants_rejected() {
+        let query = sample_query().encode();
+        let n = query.len();
+        // Query ends with pruning, backend, codec, then the u32 latency.
+        for (at, value, what) in [
+            (1, 200u8, "message tag"),
+            (n - 7, 2, "bool"),
+            (n - 6, IoBackend::ALL.len() as u8, "I/O backend"),
+            (n - 5, 250, "codec"),
+        ] {
+            let mut b = query.clone();
+            b[at] = value;
+            let detail = protocol_error(&b);
+            assert!(detail.contains(what), "{what}: {detail}");
+        }
+        // A fault-free Config ends with its fault kind.
+        let mut b = Message::Config {
+            node: 0,
+            graph_base: "g".into(),
+            workers: vec![],
+            listing: false,
+            directives: NodeDirectives::default(),
+        }
+        .encode();
+        *b.last_mut().unwrap() = 9;
+        let detail = protocol_error(&b);
+        assert!(detail.contains("node fault"), "{detail}");
     }
 
     #[test]
@@ -1261,7 +911,7 @@ mod tests {
             node: 1,
             workers: (0..5).map(sample_summary).collect(),
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
@@ -1270,7 +920,7 @@ mod tests {
             node: 2,
             triples: vec![(1, 2, 3), (4, 5, 6), (7, 8, 9)],
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
@@ -1279,15 +929,16 @@ mod tests {
             node: 7,
             detail: "disk on fire".into(),
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
     fn progress_and_shutdown_round_trip() {
         let msg = Message::Progress { node: 3, seq: 17 };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         let msg = Message::Shutdown;
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
+        assert_eq!(msg.wire_size(), 2, "version + tag, no filler");
     }
 
     #[test]
@@ -1297,25 +948,10 @@ mod tests {
             graph_base: "/data/node2/oriented".into(),
             workers: vec![
                 WorkerConfig {
-                    start: 0,
-                    end: 64,
-                    budget_edges: 32,
-                    scan_pruning: true,
-                    backend: IoBackend::Blocking,
-                    io_latency_us: 0,
                     read_fault: Some(1000),
-                    codec: Codec::Raw,
+                    ..sample_worker(IoBackend::Blocking, Codec::Raw)
                 },
-                WorkerConfig {
-                    start: 64,
-                    end: 128,
-                    budget_edges: 32,
-                    scan_pruning: true,
-                    backend: IoBackend::Mmap,
-                    io_latency_us: 0,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
+                sample_worker(IoBackend::Mmap, Codec::DeltaVarint),
             ],
             listing: false,
             directives: NodeDirectives {
@@ -1323,7 +959,7 @@ mod tests {
                 fault: NodeFault::Delay(40),
             },
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         for fault in [
             NodeFault::None,
             NodeFault::Panic,
@@ -1340,212 +976,8 @@ mod tests {
                     fault,
                 },
             };
-            assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+            assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         }
-    }
-
-    #[test]
-    fn pr5_era_config_without_tails_still_decodes() {
-        // A Config exactly as PR 5 encoded it: current tag,
-        // length-prefixed 29-byte records, nothing after the last
-        // record. Directives default, no injected faults.
-        let mut b = BytesMut::new();
-        b.put_u8(5); // TAG_CONFIG
-        b.put_u32_le(4);
-        put_string(&mut b, "/data/node4/oriented");
-        b.put_u8(0);
-        b.put_u32_le(1);
-        b.put_u16_le(29);
-        b.put_u64_le(5);
-        b.put_u64_le(55);
-        b.put_u64_le(128);
-        b.put_u8(0b011); // pruning + the retired overlap discriminant
-        b.put_u32_le(0);
-        let decoded = Message::decode(b.freeze()).unwrap();
-        let Message::Config {
-            workers,
-            directives,
-            ..
-        } = decoded
-        else {
-            panic!("expected Config, got {decoded:?}");
-        };
-        assert_eq!(directives, NodeDirectives::default());
-        assert_eq!(workers[0].read_fault, None);
-        assert_eq!((workers[0].start, workers[0].end), (5, 55));
-        assert_eq!(workers[0].backend, IoBackend::Blocking);
-    }
-
-    #[test]
-    fn pr5_era_decoder_ignores_new_tails() {
-        // Replays PR 5's Config decode loop (records only, trailing
-        // bytes never examined) against the current encoder's output:
-        // an old node handed a directives tail and a fault-bearing
-        // record still reads every field it knows.
-        let msg = Message::Config {
-            node: 6,
-            graph_base: "/data/node6/oriented".into(),
-            workers: vec![WorkerConfig {
-                start: 3,
-                end: 33,
-                budget_edges: 16,
-                scan_pruning: true,
-                backend: IoBackend::Uring,
-                io_latency_us: 9,
-                read_fault: Some(77),
-                codec: Codec::Raw,
-            }],
-            listing: true,
-            directives: NodeDirectives {
-                heartbeat_ms: 100,
-                fault: NodeFault::Panic,
-            },
-        };
-        let mut buf = msg.encode();
-        // -- PR 5 decode loop, verbatim logic --
-        assert_eq!(buf.get_u8(), 5);
-        assert_eq!(buf.get_u32_le(), 6);
-        let graph_base = get_string(&mut buf).unwrap();
-        let listing = buf.get_u8() != 0;
-        let count = buf.get_u32_le() as usize;
-        let mut workers = Vec::new();
-        for _ in 0..count {
-            let len = buf.get_u16_le() as usize;
-            assert!(len >= WorkerConfig::WIRE_LEN);
-            let w = WorkerConfig::decode_fields(&mut buf);
-            buf.advance(len - WorkerConfig::WIRE_LEN); // skip unknown tail
-            workers.push(w);
-        }
-        // -- end PR 5 loop: remaining bytes (directives) were ignored --
-        assert_eq!(graph_base, "/data/node6/oriented");
-        assert!(listing);
-        assert_eq!((workers[0].start, workers[0].end), (3, 33));
-        assert_eq!(workers[0].backend, IoBackend::Uring);
-        assert_eq!(workers[0].read_fault, None); // old decoder: unknown field
-        assert!(buf.remaining() > 0, "directives tail rides after records");
-    }
-
-    #[test]
-    fn codec_rides_the_record_tail() {
-        // The codec byte round-trips in every fault combination, and
-        // the tail stays positional: raw fault-free records are 29
-        // bytes (PR 5 byte-identity), raw fault-bearing records 38
-        // (PR 7 byte-identity), and a non-raw codec always pays the
-        // full 39 — fault tail (presence byte 0 when unset) first,
-        // codec byte after.
-        for (read_fault, codec, expect_len) in [
-            (None, Codec::Raw, 29usize),
-            (Some(77), Codec::Raw, 38),
-            (None, Codec::DeltaVarint, 39),
-            (Some(77), Codec::DeltaVarint, 39),
-        ] {
-            let cfg = WorkerConfig {
-                start: 5,
-                end: 500,
-                budget_edges: 256,
-                scan_pruning: true,
-                backend: IoBackend::Blocking,
-                io_latency_us: 3,
-                read_fault,
-                codec,
-            };
-            let mut b = BytesMut::new();
-            cfg.encode_record(&mut b);
-            let encoded = b.freeze();
-            assert_eq!(
-                encoded.len(),
-                2 + expect_len,
-                "{read_fault:?} {codec}: record length"
-            );
-            let mut buf = encoded;
-            assert_eq!(WorkerConfig::decode_record(&mut buf).unwrap(), cfg);
-        }
-    }
-
-    #[test]
-    fn pr7_era_decoder_reads_the_fault_through_the_codec_tail() {
-        // Replays PR 7's decode loop (known fields + fault tail, then
-        // advance whatever remains) against the current encoder: a
-        // node that predates the codec field still reads the range,
-        // flags and injected fault of a delta-varint record, and
-        // treats the codec byte as an unknown tail. The fault tail
-        // being emitted with presence byte 0 whenever the codec needs
-        // encoding is exactly what keeps the old decoder from
-        // misparsing the codec byte as a fault presence flag.
-        let cfg = WorkerConfig {
-            start: 11,
-            end: 111,
-            budget_edges: 64,
-            scan_pruning: true,
-            backend: IoBackend::Uring,
-            io_latency_us: 9,
-            read_fault: Some(1234),
-            codec: Codec::DeltaVarint,
-        };
-        let mut b = BytesMut::new();
-        cfg.encode_record(&mut b);
-        let mut buf = b.freeze();
-        // -- PR 7 decode loop, verbatim logic --
-        let len = buf.get_u16_le() as usize;
-        assert!(len >= WorkerConfig::WIRE_LEN);
-        let mut w = WorkerConfig::decode_fields(&mut buf);
-        let mut rest = len - WorkerConfig::WIRE_LEN;
-        if rest >= WorkerConfig::FAULT_TAIL_LEN {
-            let present = buf.get_u8() != 0;
-            let budget = buf.get_u64_le();
-            w.read_fault = present.then_some(budget);
-            rest -= WorkerConfig::FAULT_TAIL_LEN;
-        }
-        buf.advance(rest); // the codec byte, unknown to PR 7
-                           // -- end PR 7 loop --
-        assert_eq!((w.start, w.end), (11, 111));
-        assert_eq!(w.backend, IoBackend::Uring);
-        assert_eq!(w.read_fault, Some(1234));
-        assert_eq!(w.codec, Codec::Raw, "old decoder: unknown field");
-        assert_eq!(buf.remaining(), 0);
-
-        // The fault-free variant too: presence byte 0 must decode as
-        // "no fault" on PR 7, not as a truncated tail.
-        let mut b = BytesMut::new();
-        WorkerConfig {
-            read_fault: None,
-            ..cfg
-        }
-        .encode_record(&mut b);
-        let mut buf = b.freeze();
-        let len = buf.get_u16_le() as usize;
-        let mut w = WorkerConfig::decode_fields(&mut buf);
-        let mut rest = len - WorkerConfig::WIRE_LEN;
-        if rest >= WorkerConfig::FAULT_TAIL_LEN {
-            let present = buf.get_u8() != 0;
-            let budget = buf.get_u64_le();
-            w.read_fault = present.then_some(budget);
-            rest -= WorkerConfig::FAULT_TAIL_LEN;
-        }
-        buf.advance(rest);
-        assert_eq!(w.read_fault, None);
-    }
-
-    #[test]
-    fn unknown_codec_discriminant_degrades_to_raw() {
-        // A newer master's third codec: the fault tail plus an
-        // unassigned codec byte must decode, with the codec degraded
-        // to Raw rather than rejected — the node still writes a
-        // replica every engine can read.
-        let mut b = BytesMut::new();
-        b.put_u16_le((WorkerConfig::WIRE_LEN + 9 + 1) as u16);
-        b.put_u64_le(0);
-        b.put_u64_le(10);
-        b.put_u64_le(4);
-        b.put_u8(0b011);
-        b.put_u32_le(0);
-        b.put_u8(0); // fault tail: absent
-        b.put_u64_le(0);
-        b.put_u8(250); // unassigned codec discriminant
-        let mut buf = b.freeze();
-        let cfg = WorkerConfig::decode_record(&mut buf).unwrap();
-        assert_eq!(cfg.codec, Codec::Raw);
-        assert_eq!(cfg.read_fault, None);
     }
 
     #[test]
@@ -1574,7 +1006,12 @@ mod tests {
                     io_latency_us: 50,
                 },
             };
-            assert_eq!(Message::decode(msg.encode()).unwrap(), msg, "{}", op.name());
+            assert_eq!(
+                Message::decode(&msg.encode()).unwrap(),
+                msg,
+                "{}",
+                op.name()
+            );
         }
     }
 
@@ -1589,18 +1026,18 @@ mod tests {
             workers: (0..3).map(sample_summary).collect(),
             triples: vec![(1, 2, 3), (4, 5, 6)],
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         let msg = Message::QueryError {
             id: 9,
             detail: "unknown graph \"orkut\"".into(),
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
     fn stats_round_trip() {
         assert_eq!(
-            Message::decode(Message::StatsRequest.encode()).unwrap(),
+            Message::decode(&Message::StatsRequest.encode()).unwrap(),
             Message::StatsRequest
         );
         let msg = Message::StatsResult {
@@ -1628,49 +1065,16 @@ mod tests {
                 ],
             },
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
-    }
-
-    #[test]
-    fn query_forward_compat_skips_unknown_options_tail() {
-        // A future client appends an option to the length-prefixed
-        // record; today's server reads the fields it knows and skips
-        // the rest — same contract as WorkerConfig records.
-        let mut b = BytesMut::new();
-        b.put_u8(8); // TAG_QUERY
-        b.put_u32_le(5);
-        put_string(&mut b, "g");
-        QueryOperation::KTruss { k: 3 }.encode(&mut b);
-        b.put_u16_le((QueryOptions::WIRE_LEN + 4) as u16);
-        b.put_u32_le(2); // cores
-        b.put_u64_le(512); // budget
-        b.put_u8(0b101); // pruning + mmap
-        b.put_u8(1); // delta-varint
-        b.put_u32_le(0); // latency
-        b.put_slice(b"next"); // the unknown field
-        let decoded = Message::decode(b.freeze()).unwrap();
-        let Message::Query { options, op, .. } = decoded else {
-            panic!("expected Query, got {decoded:?}");
-        };
-        assert_eq!(op, QueryOperation::KTruss { k: 3 });
-        assert_eq!(options.cores, 2);
-        assert_eq!(options.backend, IoBackend::Mmap);
-        assert_eq!(options.codec, Codec::DeltaVarint);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
     fn unknown_operation_kind_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u8(8); // TAG_QUERY
-        b.put_u32_le(0);
-        put_string(&mut b, "g");
-        b.put_u8(99); // unassigned kind
-        b.put_u32_le(0);
-        b.put_u64_le(0);
-        b.put_u32_le(0);
-        QueryOptions::default().encode_record(&mut b);
-        let err = Message::decode(b.freeze()).unwrap_err();
-        assert!(err.to_string().contains("operation kind"), "{err}");
+        let mut b = sample_query().encode();
+        // version, tag, id, then the 1-byte graph name "g"
+        b[2 + 4 + 4 + 1] = 99;
+        let detail = protocol_error(&b);
+        assert!(detail.contains("operation kind"), "{detail}");
     }
 
     #[test]
@@ -1686,7 +1090,7 @@ mod tests {
         };
         let enc = msg.encode();
         for cut in [3usize, 20, enc.len() - 5] {
-            assert!(Message::decode(enc.slice(0..cut)).is_err(), "cut at {cut}");
+            assert!(Message::decode(&enc[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -1712,14 +1116,15 @@ mod tests {
             node: 0,
             triples: vec![(1, 2, 3); 100],
         };
-        // 1 tag + 4 node + 4 count + 100 * 12
-        assert_eq!(msg.wire_size(), 9 + 1200);
+        // 1 version + 1 tag + 4 node + 4 count + 100 * 12
+        assert_eq!(msg.wire_size(), 10 + 1200);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Message::decode(Bytes::from_static(&[])).is_err());
-        assert!(Message::decode(Bytes::from_static(&[9, 0, 0, 0, 0])).is_err());
+        assert!(Message::decode(&[]).is_err());
+        let detail = protocol_error(&[9, 0, 0, 0, 0]);
+        assert!(detail.contains("wire version 9"), "{detail}");
     }
 
     #[test]
@@ -1728,11 +1133,11 @@ mod tests {
             node: 0,
             workers: vec![],
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         let msg = Message::Triangles {
             node: 0,
             triples: vec![],
         };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 }

@@ -29,6 +29,10 @@ use crate::error::{ClusterError, Result};
 use crate::message::{Message, NodeDirectives, NodeFault, WorkerConfig, WorkerSummary};
 use crate::transport::Transport;
 
+/// Triples per [`Message::Triangles`] batch: 768 KiB on the wire, far
+/// under the TCP frame cap however many triangles a node lists.
+pub const TRIANGLE_BATCH: usize = 1 << 16;
+
 /// A raisable flag worker loops can wait on with a timeout, so the
 /// heartbeat thread both paces itself and wakes immediately on stop.
 struct StopFlag {
@@ -63,9 +67,10 @@ impl StopFlag {
 /// Serve counting requests arriving on `transport` until the master
 /// sends [`Message::Shutdown`] or disconnects.
 ///
-/// Per request: recv `Config` → (optionally send `Triangles`) → send
-/// `Results`, or send `NodeError` on failure — with `Progress`
-/// heartbeats in between when the config asks for them.
+/// Per request: recv `Config` → (optionally send `Triangles` batches of
+/// at most [`TRIANGLE_BATCH`] triples) → send `Results`, or send
+/// `NodeError` on failure — with `Progress` heartbeats in between when
+/// the config asks for them.
 pub fn serve_node<T: Transport>(transport: &T) -> Result<()> {
     loop {
         let msg = match transport.recv() {
@@ -143,7 +148,12 @@ fn serve_one<T: Transport>(
     match outcome {
         Ok((summaries, triples)) => {
             if listing {
-                transport.send(&Message::Triangles { node, triples })?;
+                for batch in triples.chunks(TRIANGLE_BATCH) {
+                    transport.send(&Message::Triangles {
+                        node,
+                        triples: batch.to_vec(),
+                    })?;
+                }
             }
             transport.send(&Message::Results {
                 node,

@@ -1107,26 +1107,46 @@ mod tests {
 
     #[test]
     fn listing_collects_every_triangle_with_traffic() {
-        let (input, expected, _, _) = write_input("listing", 54);
-        let mut c = cfg(2, 2);
-        c.listing = true;
-        let runner = ClusterRunner::new(c).unwrap();
-        let report = runner.run(&input, &tmpdir("listing-run")).unwrap();
-        let listed = report.listed.as_ref().unwrap();
-        assert_eq!(listed.len() as u64, expected);
-        assert!(report.network.triangles >= expected * 12);
-        // no duplicates across the cluster
-        let mut canon: Vec<_> = listed
-            .iter()
-            .map(|&(a, b, c)| {
-                let mut t = [a, b, c];
-                t.sort_unstable();
-                t
-            })
-            .collect();
-        canon.sort_unstable();
-        canon.dedup();
-        assert_eq!(canon.len() as u64, expected);
+        let (rmat_input, rmat_triangles, _, _) = write_input("listing", 54);
+        // K_80's 82 160 triangles span two batches from a single node.
+        let k80 = pdtl_graph::gen::classic::complete(80).unwrap();
+        let k80_input =
+            DiskGraph::write(&k80, tmpdir("listing-k80").join("g"), &IoStats::new()).unwrap();
+        for (input, expected, nodes, cores, min_batches) in [
+            (rmat_input, rmat_triangles, 2, 2, 1),
+            (k80_input, triangle_count(&k80), 1, 1, 2),
+        ] {
+            let mut c = cfg(nodes, cores);
+            c.listing = true;
+            let runner = ClusterRunner::new(c).unwrap();
+            let report = runner
+                .run(&input, &tmpdir(&format!("listing-run-{nodes}")))
+                .unwrap();
+            let listed = report.listed.as_ref().unwrap();
+            assert_eq!(listed.len() as u64, expected);
+            // A node sends ⌈T/TRIANGLE_BATCH⌉ in-process Triangles
+            // messages: 12 bytes per triple plus version, tag, node and
+            // count.
+            let batches: u64 = report
+                .nodes
+                .iter()
+                .map(|n| n.triangles().div_ceil(crate::node::TRIANGLE_BATCH as u64))
+                .sum();
+            assert!(batches >= min_batches);
+            assert_eq!(report.network.triangles, 12 * expected + 10 * batches);
+            // no duplicates across the cluster
+            let mut canon: Vec<_> = listed
+                .iter()
+                .map(|&(a, b, c)| {
+                    let mut t = [a, b, c];
+                    t.sort_unstable();
+                    t
+                })
+                .collect();
+            canon.sort_unstable();
+            canon.dedup();
+            assert_eq!(canon.len() as u64, expected);
+        }
     }
 
     #[test]

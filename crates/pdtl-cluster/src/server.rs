@@ -6,7 +6,7 @@
 //! its integrity manifest at registration, then oriented to disk per
 //! codec — and a [`Server`] answers concurrent [`Message::Query`]
 //! requests against the warm replicas over the existing TCP transport
-//! and [`Message`] framing (tags 8–12; no second protocol).
+//! and [`Message`] framing (the serve-mode tags; no second protocol).
 //!
 //! Resource discipline matches the one-shot path:
 //!
@@ -32,12 +32,10 @@ use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use pdtl_analytics::{clustering, ktruss};
 use pdtl_core::mgt::MgtOptions;
@@ -370,15 +368,20 @@ impl Server {
             config,
         });
 
-        let (jobs_tx, jobs_rx) = unbounded::<Job>();
+        let (jobs_tx, jobs_rx) = channel::<Job>();
+        let jobs_rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(jobs_rx));
         let workers = (0..shared.config.workers)
             .map(|_| {
                 let shared = shared.clone();
-                let rx: Receiver<Job> = jobs_rx.clone();
+                let rx = jobs_rx.clone();
                 std::thread::spawn(move || {
                     // `recv` errors only once every sender is dropped —
                     // the shutdown drain: finish what is queued, exit.
-                    while let Ok(job) = rx.recv() {
+                    // The guard drops at the end of the `let`, so the
+                    // query runs without holding the queue.
+                    loop {
+                        let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                        let Ok(job) = job else { break };
                         run_query(&shared, job);
                     }
                 })
@@ -400,7 +403,17 @@ impl Server {
                         let jobs_tx = jobs_tx.clone();
                         let handle =
                             std::thread::spawn(move || serve_conn(&shared, stream, &jobs_tx));
-                        conns.lock().push(handle);
+                        // Join the threads of connections that already
+                        // closed, so a long-running daemon holds handles
+                        // only for live connections.
+                        let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+                        let (done, live): (Vec<_>, Vec<_>) =
+                            conns.drain(..).partition(|h| h.is_finished());
+                        *conns = live;
+                        conns.push(handle);
+                        for h in done {
+                            let _ = h.join();
+                        }
                     }
                     Err(_) => {
                         if shared.stop.load(Ordering::SeqCst) {
@@ -459,7 +472,12 @@ impl Server {
         }
         // Connection threads notice `stop` within one POLL and exit,
         // dropping their job senders.
-        for h in self.conns.lock().drain(..) {
+        for h in self
+            .conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .drain(..)
+        {
             let _ = h.join();
         }
         // With every sender gone the channel closes; workers finish the
@@ -965,6 +983,58 @@ mod tests {
         })
         .is_ok());
         assert!(validate_op(&QueryOperation::Count).is_ok());
+    }
+
+    #[test]
+    fn largest_query_result_fits_under_the_frame_cap() {
+        use crate::message::Wire;
+        // Sized from the encoding's fixed-width records, not built: the
+        // triples alone would be 48 MiB.
+        let empty = Message::QueryResult {
+            id: u32::MAX,
+            triangles: 0,
+            value_bits: 0,
+            aux: 0,
+            wall_nanos: 0,
+            workers: vec![],
+            triples: vec![],
+        };
+        let largest = empty.wire_size() as usize
+            + MAX_CORES as usize * WorkerSummary::MIN_LEN
+            + MAX_LIST_LIMIT as usize * <(u32, u32, u32)>::MIN_LEN;
+        assert!(
+            largest <= crate::transport::MAX_FRAME_BYTES,
+            "{largest} bytes"
+        );
+    }
+
+    #[test]
+    fn finished_connection_threads_are_joined_on_accept() {
+        let dir = std::env::temp_dir().join(format!("pdtl-conns-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let catalog = Catalog::open(&dir, &dir.join("work"), &[Codec::Raw], 1).unwrap();
+        let server = Server::spawn(catalog, ServeConfig::default()).unwrap();
+        let addr = server.addr();
+        let conns = || server.conns.lock().unwrap_or_else(|e| e.into_inner());
+        let wait_until = |done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !done() {
+                assert!(Instant::now() < deadline, "{} handles kept", conns().len());
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        // A round trip proves each connection's thread is up before the
+        // client hangs up and the thread exits.
+        for _ in 0..40 {
+            ServeClient::connect(&addr).unwrap().stats().unwrap();
+        }
+        wait_until(&|| conns().iter().all(|h| h.is_finished()));
+        // The next accept joins all forty.
+        ServeClient::connect(&addr).unwrap().stats().unwrap();
+        wait_until(&|| conns().len() == 1);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,20 +12,22 @@
 //! surfaces as [`ClusterError::Timeout`] instead of hanging the master
 //! forever. The TCP implementation buffers partial frames across
 //! timed-out reads, so a deadline expiring mid-frame never corrupts the
-//! stream.
+//! stream, and it refuses any frame larger than [`MAX_FRAME_BYTES`].
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-
 use crate::error::{ClusterError, Result};
-use crate::message::Message;
+use crate::message::{Message, Wire};
 use crate::netmodel::NetTraffic;
+
+/// The largest message a TCP frame may carry. The largest legal message
+/// is a serve `QueryResult` echoing the list cap of 2^22 triples
+/// (48 MiB); nodes send their triangle lists in batches far below it.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// A bidirectional, message-oriented endpoint.
 pub trait Transport: Send + Sync {
@@ -58,26 +60,28 @@ fn charge(traffic: &NetTraffic, msg: &Message, bytes: u64) {
     }
 }
 
-/// In-process transport endpoint over crossbeam channels.
+/// In-process transport endpoint over std channels. The receiver sits
+/// in a `Mutex` because `Transport` endpoints are shared across threads
+/// and std's `Receiver` is not `Sync`.
 pub struct InProcTransport {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    tx: Sender<Vec<u8>>,
+    rx: Mutex<Receiver<Vec<u8>>>,
     traffic: Arc<NetTraffic>,
 }
 
 /// Create a connected pair of in-process endpoints sharing `traffic`.
 pub fn in_proc_pair(traffic: Arc<NetTraffic>) -> (InProcTransport, InProcTransport) {
-    let (atx, brx) = unbounded();
-    let (btx, arx) = unbounded();
+    let (atx, brx) = channel();
+    let (btx, arx) = channel();
     (
         InProcTransport {
             tx: atx,
-            rx: arx,
+            rx: Mutex::new(arx),
             traffic: traffic.clone(),
         },
         InProcTransport {
             tx: btx,
-            rx: brx,
+            rx: Mutex::new(brx),
             traffic,
         },
     )
@@ -95,20 +99,27 @@ impl Transport for InProcTransport {
     fn recv(&self) -> Result<Message> {
         let raw = self
             .rx
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
             .recv()
             .map_err(|_| ClusterError::Disconnected("in-proc peer"))?;
-        Message::decode(raw)
+        Message::decode(&raw)
     }
 
     fn recv_deadline(&self, timeout: Duration) -> Result<Message> {
-        let raw = self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => ClusterError::Timeout {
-                peer: "in-proc peer",
-                after: timeout,
-            },
-            RecvTimeoutError::Disconnected => ClusterError::Disconnected("in-proc peer"),
-        })?;
-        Message::decode(raw)
+        let raw = self
+            .rx
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .recv_timeout(timeout)
+            .map_err(|e| match e {
+                RecvTimeoutError::Timeout => ClusterError::Timeout {
+                    peer: "in-proc peer",
+                    after: timeout,
+                },
+                RecvTimeoutError::Disconnected => ClusterError::Disconnected("in-proc peer"),
+            })?;
+        Message::decode(&raw)
     }
 }
 
@@ -121,27 +132,33 @@ struct FrameReader {
 }
 
 impl FrameReader {
-    /// Extract one complete `[u32 len | payload]` frame from the front
-    /// of the buffer, if present.
-    fn take_frame(&mut self) -> Option<Bytes> {
-        if self.buf.len() < 4 {
-            return None;
+    /// Decode one complete `[u32 len | message]` frame from the front
+    /// of the buffer, if present. A header announcing more than
+    /// [`MAX_FRAME_BYTES`] is refused as soon as it arrives.
+    fn take_frame(&mut self) -> Result<Option<Message>> {
+        let Some(&header) = self.buf.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(header) as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(ClusterError::Protocol(format!(
+                "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+            )));
         }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
         if self.buf.len() < 4 + len {
-            return None;
+            return Ok(None);
         }
-        let payload = Bytes::from(&self.buf[4..4 + len]);
+        let msg = Message::decode(&self.buf[4..4 + len]);
         self.buf.drain(..4 + len);
-        Some(payload)
+        msg.map(Some)
     }
 
     /// Read until a full frame is available, or `deadline` (when set)
     /// passes. `None` blocks indefinitely.
-    fn recv_frame(&mut self, deadline: Option<Instant>) -> Result<Bytes> {
+    fn recv_frame(&mut self, deadline: Option<Instant>) -> Result<Message> {
         loop {
-            if let Some(payload) = self.take_frame() {
-                return Ok(payload);
+            if let Some(msg) = self.take_frame()? {
+                return Ok(msg);
             }
             let timeout = match deadline {
                 None => None,
@@ -216,27 +233,38 @@ impl TcpTransport {
     }
 
     fn recv_inner(&self, deadline: Option<Instant>, timeout: Duration) -> Result<Message> {
-        let mut r = self.reader.lock();
-        let payload = r.recv_frame(deadline).map_err(|e| match e {
+        let mut r = self.reader.lock().unwrap_or_else(|e| e.into_inner());
+        r.recv_frame(deadline).map_err(|e| match e {
             // Stamp the caller's timeout onto the error for display.
             ClusterError::Timeout { peer, .. } => ClusterError::Timeout {
                 peer,
                 after: timeout,
             },
             other => other,
-        })?;
-        Message::decode(payload)
+        })
     }
 }
 
 impl Transport for TcpTransport {
+    /// Encode the header and message into one buffer and write it with
+    /// one `write_all`: a separate header write would leave the payload
+    /// waiting on Nagle's algorithm for the peer's delayed ACK.
     fn send(&self, msg: &Message) -> Result<()> {
-        let encoded = msg.encode();
+        let mut frame = vec![0u8; 4];
+        msg.put(&mut frame);
+        let len = frame.len() - 4;
+        if len > MAX_FRAME_BYTES {
+            return Err(ClusterError::Protocol(format!(
+                "refusing to send a {len}-byte message: the frame cap is {MAX_FRAME_BYTES} bytes"
+            )));
+        }
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
         // frame header + payload both cross the wire
-        charge(&self.traffic, msg, encoded.len() as u64 + 4);
-        let mut w = self.writer.lock();
-        w.write_all(&(encoded.len() as u32).to_le_bytes())
-            .and_then(|_| w.write_all(&encoded))
+        charge(&self.traffic, msg, frame.len() as u64);
+        self.writer
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .write_all(&frame)
             .map_err(|e| ClusterError::Io(pdtl_io::IoError::os("send", "tcp", e)))
     }
 
@@ -271,6 +299,12 @@ mod tests {
             listing: false,
             directives: NodeDirectives::default(),
         }
+    }
+
+    fn loopback() -> (std::net::TcpListener, String) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (listener, addr)
     }
 
     #[test]
@@ -356,8 +390,7 @@ mod tests {
     #[test]
     fn tcp_round_trip_over_loopback() {
         let traffic = NetTraffic::new();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+        let (listener, addr) = loopback();
         let t2 = traffic.clone();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
@@ -377,10 +410,9 @@ mod tests {
     #[test]
     fn tcp_deadline_times_out_then_delivers() {
         let traffic = NetTraffic::new();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+        let (listener, addr) = loopback();
         let t2 = traffic.clone();
-        let (release_tx, release_rx) = unbounded::<()>();
+        let (release_tx, release_rx) = channel::<()>();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let t = TcpTransport::from_stream(stream, t2).unwrap();
@@ -408,9 +440,8 @@ mod tests {
         // the deadline fires, then the second half completes the frame
         // on the next call — framing must not desynchronize.
         let traffic = NetTraffic::new();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let (release_tx, release_rx) = unbounded::<()>();
+        let (listener, addr) = loopback();
+        let (release_tx, release_rx) = channel::<()>();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let msg = Message::NodeError {
@@ -446,10 +477,42 @@ mod tests {
     }
 
     #[test]
+    fn tcp_oversized_frames_refused_without_waiting_for_payload() {
+        let (listener, addr) = loopback();
+        let (release_tx, release_rx) = channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let header = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
+            stream.write_all(&header).unwrap();
+            // Hold the connection open with no payload behind the header.
+            release_rx.recv().unwrap();
+        });
+        let traffic = NetTraffic::new();
+        let client = TcpTransport::connect(&addr, traffic.clone()).unwrap();
+        // A protocol error, not a 30 s timeout waiting for the payload.
+        let got = client.recv_deadline(Duration::from_secs(30));
+        assert!(
+            matches!(&got, Err(ClusterError::Protocol(d)) if d.contains("cap")),
+            "{got:?}"
+        );
+        let oversized = Message::NodeError {
+            node: 0,
+            detail: "x".repeat(MAX_FRAME_BYTES),
+        };
+        let got = client.send(&oversized);
+        assert!(
+            matches!(&got, Err(ClusterError::Protocol(d)) if d.contains("cap")),
+            "{got:?}"
+        );
+        assert_eq!(traffic.result_bytes(), 0, "nothing sent, nothing charged");
+        release_tx.send(()).unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
     fn tcp_disconnect_reported_on_deadline_recv() {
         let traffic = NetTraffic::new();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+        let (listener, addr) = loopback();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             drop(stream); // immediate close

@@ -66,9 +66,8 @@ pub enum IoBackend {
 pub const BACKEND_ENV: &str = "PDTL_IO_BACKEND";
 
 impl IoBackend {
-    /// Every backend, in wire-discriminant order (the order of the
-    /// flags-byte encoding in the cluster's `WorkerConfig`, which skips
-    /// the retired discriminant 1).
+    /// Every backend. The cluster wire protocol encodes a backend as
+    /// its index here, so new backends are appended, never inserted.
     pub const ALL: [IoBackend; 3] = [IoBackend::Blocking, IoBackend::Mmap, IoBackend::Uring];
 
     /// Stable lowercase name (bench row / CLI / env spelling).

@@ -102,7 +102,7 @@ impl Codec {
     }
 
     /// Stable single-byte discriminant used by the on-disk format
-    /// header and the wire `WorkerConfig` record tail.
+    /// header and the cluster wire protocol.
     pub fn discriminant(self) -> u8 {
         match self {
             Codec::Raw => 0,
@@ -111,8 +111,7 @@ impl Codec {
     }
 
     /// Inverse of [`discriminant`](Self::discriminant); `None` for
-    /// values no known codec uses (decoders treat those as `Raw` for
-    /// forward compatibility, but the distinction is the caller's).
+    /// values no known codec uses (the wire decoder rejects those).
     pub fn from_discriminant(d: u8) -> Option<Self> {
         match d {
             0 => Some(Codec::Raw),

@@ -7,7 +7,7 @@
 //! asynchronously, so up to [`URING_DEPTH`] block-sized reads are in
 //! flight per stream with *zero* extra threads, no producer/consumer
 //! hand-off, and no cross-thread copy. The MGT engines select it via
-//! `IoBackend::Uring` (wire discriminant 3).
+//! `IoBackend::Uring`.
 //!
 //! **Accounting contract.** `UringSource` implements
 //! [`U32Source`] and mirrors [`U32Reader`]'s control

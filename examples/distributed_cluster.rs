@@ -32,8 +32,7 @@ fn main() {
         // overlapped I/O hides device waits. io_uring gets that overlap
         // from kernel submission queues (no helper threads) and
         // degrades to blocking reads on kernels without it; the choice
-        // ships to every worker in its wire WorkerConfig (flags-byte
-        // discriminant 3).
+        // ships to every worker in its wire WorkerConfig.
         mgt: MgtOptions {
             backend: IoBackend::Uring,
             ..MgtOptions::default()
